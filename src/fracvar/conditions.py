@@ -15,6 +15,7 @@ flagged rather than extrapolated.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ PROBE_GAMMA_MIN = 1e-6
 PROBE_GAMMA_MAX = 1e6
 COARSE_POINTS = 2001
 DENSE_POINTS = 120001  # 1e4 per decade over 12 decades
+_ENVELOPE_BLOCK = 8192  # 64 KiB of float64, below malloc's mmap threshold
 DIVERGENCE_THRESHOLD = 1e6
 SMALL_PROBE_DEPTH = 14
 LARGE_PROBE_DEPTH = 8
@@ -89,6 +91,17 @@ class SupRatio:
         return iter((self.value, self.gamma_bar))
 
 
+@functools.cache
+def _probe_grid(points: int) -> np.ndarray:
+    """Log-spaced probe grid over [PROBE_GAMMA_MIN, PROBE_GAMMA_MAX].
+
+    Built once per size and shared by every caller, so it is read-only.
+    """
+    grid = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, points)
+    grid.setflags(write=False)
+    return grid
+
+
 def _dense_envelope(nl: Nonlinearity):
     """Running max of F over |xi| <= gamma, sampled on the dense log grid.
 
@@ -96,11 +109,21 @@ def _dense_envelope(nl: Nonlinearity):
     floored at zero; a zero envelope therefore means F <= 0 on the whole
     window and the ratio there is +inf by convention.
     """
-    xs = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, DENSE_POINTS)
-    both = np.maximum(
-        np.asarray(nl.F(xs), dtype=float), np.asarray(nl.F(-xs), dtype=float)
-    )
-    return xs, np.maximum(np.maximum.accumulate(both), 0.0)
+    xs = _probe_grid(DENSE_POINTS)
+    run = np.empty_like(xs)
+    # F is pointwise, so it is evaluated block by block: its temporaries
+    # stay small enough to be reused from the heap instead of being
+    # paged in afresh on every call.  The running max carries across
+    # blocks through the same recurrence as one accumulate over all of xs.
+    for lo in range(0, len(xs), _ENVELOPE_BLOCK):
+        x = xs[lo : lo + _ENVELOPE_BLOCK]
+        both = np.maximum(
+            np.asarray(nl.F(x), dtype=float), np.asarray(nl.F(-x), dtype=float)
+        )
+        if lo:
+            both[0] = np.maximum(run[lo - 1], both[0])
+        np.maximum.accumulate(both, out=run[lo : lo + len(x)])
+    return xs, np.maximum(run, 0.0, out=run)
 
 
 def _ratio_or_inf(gammas: np.ndarray, env: np.ndarray) -> np.ndarray:
@@ -170,7 +193,16 @@ def sup_ratio(nl: Nonlinearity) -> SupRatio:
     running-max envelope supplies the window interior and the ratio
     inherits its resolution.
     """
-    gammas = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, COARSE_POINTS)
+    return _sup_ratio(nl, None if nl.nonnegative else _dense_envelope(nl))
+
+
+def _sup_ratio(nl: Nonlinearity, envelope) -> SupRatio:
+    """sup_ratio with the (xs, env) pair of _dense_envelope supplied.
+
+    The envelope is read for signed data only; nonnegative data may pass
+    None.
+    """
+    gammas = _probe_grid(COARSE_POINTS)
     if nl.nonnegative:
         Fg = np.asarray(nl.F(gammas), dtype=float)
         ratios = _ratio_or_inf(gammas, np.maximum(Fg, 0.0))
@@ -180,7 +212,7 @@ def sup_ratio(nl: Nonlinearity) -> SupRatio:
             return gamma * gamma / val if val > 0.0 else math.inf
 
     else:
-        xs, env = _dense_envelope(nl)
+        xs, env = envelope
         ratios = _ratio_or_inf(gammas, _window_max(nl, xs, env, gammas))
 
         def g(gamma: float) -> float:
@@ -418,7 +450,8 @@ def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:
     attained at the grid edge stays inconclusive.
     """
     kappa = kappa_alpha(alpha, T)
-    sup = sup_ratio(nl)
+    xs, env = _dense_envelope(nl)
+    sup = _sup_ratio(nl, (xs, env))
     mu = sup.value / kappa
 
     if sup.value > kappa:
@@ -428,12 +461,12 @@ def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:
     else:
         sg = TriState.FAILS
 
-    lam = lambda_interval(nl, alpha, T).right if nl.nonnegative else None
+    # lambda_interval's right endpoint is the same quotient of the same supremum
+    lam = mu if nl.nonnegative else None
 
     lim = limit_probes(nl, kappa)
 
-    xs, env = _dense_envelope(nl)
-    gammas = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, COARSE_POINTS)
+    gammas = _probe_grid(COARSE_POINTS)
     ratios = _ratio_or_inf(gammas, env[np.searchsorted(xs, gammas, side="right") - 1])
     trace = [(float(g), float(r)) for g, r in zip(gammas[::40], ratios[::40])]
     trace.append((sup.gamma_bar, sup.value))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import conditions as cond
-from .energy import EnergyAssembly, Nonlinearity, eval_phi, eval_psi, grad_J
+from .energy import EnergyAssembly, Nonlinearity, eval_phi, eval_psi
 from .frac_kernel import (
     FracOrder,
     GridFunction,

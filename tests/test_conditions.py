@@ -3,13 +3,17 @@ the two-power datum, and the limit-condition probes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fracvar import conditions
 from fracvar.conditions import (
+    COARSE_POINTS,
+    DENSE_POINTS,
     ConditionReport,
     TriState,
     evaluate_conditions,
@@ -237,3 +241,67 @@ def test_condition_report_round_trips_through_json():
     zrep = evaluate_conditions(zero_datum(), 0.75, 1.0)
     zback = ConditionReport.from_jsonable(json.loads(zrep.json_str()))
     assert math.isinf(zback.mu_star)
+
+
+# One datum per catalog kind, with both signs of table.
+_REPORT_DATA = {
+    "table_signed": lambda: table_datum([-3.0, -1.0, 0.0, 2.0], [1.5, -2.0, 0.0, 1.0]),
+    "table_nonnegative": lambda: table_datum([-1.0, 0.0, 1.0, 3.0], [0.5, 0.0, 1.0, 4.0]),
+    "affine_power": lambda: affine_power(4.0),
+    "power_sum": lambda: power_sum(1.5, 3.0),
+    "sqrt_plus": sqrt_plus,
+    "zero": zero_datum,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_DATA))
+def test_report_matches_standalone_quantities_exactly(name):
+    # the report shares one supremum between its fields; each must equal
+    # the standalone function to the bit
+    nl = _REPORT_DATA[name]()
+    rep = evaluate_conditions(nl, 0.7, 1.5)
+    sup = sup_ratio(nl)
+    assert rep.sup_ratio == sup.value
+    assert rep.gamma_bar == sup.gamma_bar
+    assert rep.sup_at_boundary == sup.at_boundary
+    assert rep.mu_star == mu_star(nl, 0.7, 1.5)
+    if nl.nonnegative:
+        assert rep.lambda_right_endpoint == lambda_interval(nl, 0.7, 1.5).right
+    else:
+        assert rep.lambda_right_endpoint is None
+
+
+@pytest.mark.parametrize("name", ["table_signed", "power_sum"])
+def test_report_evaluates_each_probe_grid_once(name):
+    nl = _REPORT_DATA[name]()
+    asked = [0]
+
+    def counting_F(x, F=nl.F):
+        asked[0] += np.asarray(x).size
+        return F(x)
+
+    counted = dataclasses.replace(nl, F=counting_F)
+    asked[0] = 0  # replace() re-runs the construction probes
+    evaluate_conditions(counted, 0.75, 1.0)
+    # one dense envelope (F at +-xs), one coarse window scan, and a few
+    # dozen golden-section and limit probes
+    assert asked[0] <= 2 * DENSE_POINTS + 2 * COARSE_POINTS + 200
+
+
+# F rises to its maximum at xi = 1.5 and falls after, so every later
+# block of the dense envelope only carries that maximum forward
+_ENVELOPE_DATA = {
+    **_REPORT_DATA,
+    "table_peaked": lambda: table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_DATA))
+def test_blocked_envelope_equals_one_accumulate(name):
+    # the dense envelope is built block by block; it must equal one
+    # running max over the whole grid, bit for bit
+    nl = _ENVELOPE_DATA[name]()
+    xs, env = conditions._dense_envelope(nl)
+    both = np.maximum(np.asarray(nl.F(xs), dtype=float), np.asarray(nl.F(-xs), dtype=float))
+    assert len(xs) == DENSE_POINTS
+    assert np.array_equal(env, np.maximum(np.maximum.accumulate(both), 0.0))

@@ -37,7 +37,7 @@ def test_embedding_constant_against_reference():
 
 
 def test_reference_values_at_075():
-    assert embedding_constant(0.75, 1.0) == pytest.approx(1.1540674772329394, rel=1e-12)
+    assert embedding_constant(0.75, 1.0) == pytest.approx(1.1540674772329393, rel=1e-12)
 
 
 def test_kappa_identity_on_random_pairs():
