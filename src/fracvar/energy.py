@@ -250,6 +250,30 @@ class EnergyAssembly:
         for name in ("bilinear", "symmetric", "gram"):
             getattr(self, name).setflags(write=False)
 
+    def objective(self, mu: float, nl: Nonlinearity):
+        """J_mu = Phi - mu Psi and its gradient, as (energy, gradient).
+
+        energy(c, phi=None) returns (J, synthesis), reusing Phi of c when
+        given; gradient(c, synthesis) returns (M + M') c - mu B (w f(u)),
+        the exact derivative of the discrete energy.
+        """
+        B = self.space.basis
+        w = self.space.weights
+        Ms = self.symmetric
+        M_sum = self.bilinear + self.bilinear.T
+        F, f = nl.F, nl.f
+
+        def energy(c: np.ndarray, phi: float | None = None):
+            synth = c @ B
+            if phi is None:
+                phi = float(c @ Ms @ c)
+            return phi - mu * float(w @ np.asarray(F(synth), dtype=float)), synth
+
+        def gradient(c: np.ndarray, synth: np.ndarray) -> np.ndarray:
+            return M_sum @ c - mu * (B @ (w * np.asarray(f(synth), dtype=float)))
+
+        return energy, gradient
+
 
 _ASSEMBLY_CHECK_SEED = 0x5EED
 
@@ -318,21 +342,14 @@ def eval_J(
     u: SpectralElement, mu: float, nl: Nonlinearity, assembly: EnergyAssembly
 ) -> float:
     """Full energy Phi(u) - mu Psi(u)."""
-    return eval_phi(u, assembly) - mu * eval_psi(u, nl, assembly)
+    energy, _ = assembly.objective(mu, nl)
+    return energy(_check_element(u, assembly.space))[0]
 
 
 def grad_J(
     u: SpectralElement, mu: float, nl: Nonlinearity, assembly: EnergyAssembly
 ) -> np.ndarray:
-    """Coefficient-space gradient of J.
-
-    Component k is ((M + M') coeffs)_k - mu * sum_i w_i f(u_i) B_k(t_i);
-    the quadrature of the nonlinear term is the exact derivative of the
-    discrete Psi, so the whole vector is consistent with eval_J.
-    """
-    model = assembly.space
-    c = _check_element(u, model)
-    quad_part = (assembly.bilinear + assembly.bilinear.T) @ c
-    synth = c @ model.basis
-    f_vals = np.asarray(nl.f(synth), dtype=float)
-    return quad_part - mu * (model.basis @ (model.weights * f_vals))
+    """Coefficient-space gradient of J, consistent with eval_J."""
+    _, gradient = assembly.objective(mu, nl)
+    c = _check_element(u, assembly.space)
+    return gradient(c, c @ assembly.space.basis)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conditions as cond
-from .energy import eval_phi, eval_psi
+from .energy import eval_J
 from .errors import FracvarError, HypothesisError
 from .frac_kernel import (
     Grid,
@@ -228,10 +228,10 @@ def ray_scan(
         raise ValueError("tau values must be increasing")
 
     nl = problem.nonlinearity
-    vals = []
-    for t in taus:
-        u = SpectralElement(tuple(t * v for v in direction.coeffs))
-        vals.append(eval_phi(u, assembly) - mu * eval_psi(u, nl, assembly))
+    vals = [
+        eval_J(SpectralElement(tuple(t * v for v in direction.coeffs)), mu, nl, assembly)
+        for t in taus
+    ]
 
     tail = np.array(vals[-3:])
     slope = None

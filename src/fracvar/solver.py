@@ -51,6 +51,8 @@ RESIDUAL_TOL_COEFF = 0.05
 
 _START_AMPLITUDES = (1e-3, 1e-2, 1e-1)
 _TIE_TOL = 1e-10
+# per-restart fields a record keeps; stop is "grad_tol", "max_iters" or "line_search"
+_CANDIDATE_KEYS = ("energy", "norm_alpha", "grad_norm", "iters", "converged", "stop", "backtracks")
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,6 @@ class SolutionRecord:
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
 
 
-def _quad(M: np.ndarray, x: np.ndarray) -> float:
-    return float(x @ M @ x)
-
-
 def _descend(
     x0: np.ndarray,
     mu: float,
@@ -175,62 +173,64 @@ def _descend(
     cap: float,
     cfg: SolverConfig,
     t0: float,
-):
-    """One projected BB descent from x0; returns (x, J, grad_norm, iters)."""
-    model = assembly.space
+) -> dict:
+    """One projected BB descent from x0.
+
+    Each point is synthesized once and its Phi formed once: the
+    projection returns Phi with the point (recomputed only after a
+    radial rescale), the trial energy reuses it, and the accepted
+    point's gradient reuses the trial's synthesis.  Returns the final x
+    with its energy, phi, grad_norm, iters, backtracks (step shrinks)
+    and stop reason.
+    """
+    energy, gradient = assembly.objective(mu, nl)
     Ms = assembly.symmetric
-    w = model.weights
-    B = model.basis
+    grad_tol, armijo_c, shrink = cfg.grad_tol, cfg.armijo_c, cfg.backtrack_factor
+    t_min, t_max = 1e-18 * t0, 1e6 * t0
 
-    def Jval(x: np.ndarray) -> float:
-        synth = x @ B
-        return _quad(Ms, x) - mu * float(w @ np.asarray(nl.F(synth), dtype=float))
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        synth = x @ B
-        fv = np.asarray(nl.f(synth), dtype=float)
-        return 2.0 * (Ms @ x) - mu * (B @ (w * fv))
-
-    def project(x: np.ndarray) -> np.ndarray:
-        p = _quad(Ms, x)
+    def project(x: np.ndarray):
+        p = float(x @ Ms @ x)
         if p >= cap and p > 0.0:
-            return x * math.sqrt(cap / p)
-        return x
+            x = x * math.sqrt(cap / p)
+            p = float(x @ Ms @ x)
+        return x, p
 
-    x = project(x0.copy())
-    Jx = Jval(x)
-    g = grad(x)
+    x, phi = project(x0)
+    Jx, synth = energy(x, phi)
+    g = gradient(x, synth)
     x_prev = g_prev = None
-    it = 0
+    it = backtracks = 0
+    stop = "max_iters"
     for it in range(1, cfg.max_iters + 1):
-        gn = float(np.linalg.norm(g))
-        if gn <= cfg.grad_tol and _quad(Ms, x) < cap:
+        if math.sqrt(float(g @ g)) <= grad_tol and phi < cap:
+            stop = "grad_tol"
             break
         if x_prev is not None:
             dx = x - x_prev
             dg = g - g_prev
             denom = float(dx @ dg)
             t = float(dx @ dx) / denom if denom > 0.0 else t0
-            t = min(max(t, 1e-14), 1e6 * t0)
+            t = min(max(t, 1e-14), t_max)
         else:
             t = t0
-        accepted = False
-        while t > 1e-18 * t0:
-            v = project(x - t * g)
+        while t > t_min:
+            v, phi_v = project(x - t * g)
             decrease = float(g @ (x - v))
             if decrease > 0.0:
-                Jv = Jval(v)
-                if Jv <= Jx - cfg.armijo_c * decrease:
-                    accepted = True
+                Jv, synth = energy(v, phi_v)
+                if Jv <= Jx - armijo_c * decrease:
                     break
-            t *= cfg.backtrack_factor
-        if not accepted:
+            t *= shrink
+            backtracks += 1
+        else:  # the step shrank below t_min without an Armijo decrease
+            stop = "line_search"
             break
         assert Jv <= Jx + 1e-12 * (1.0 + abs(Jx))  # descent along accepted steps
         x_prev, g_prev = x, g
-        x, Jx = v, Jv
-        g = grad(x)
-    return x, Jx, float(np.linalg.norm(g)), it
+        x, Jx, phi = v, Jv, phi_v
+        g = gradient(x, synth)
+    gn = math.sqrt(float(g @ g))
+    return dict(x=x, energy=Jx, phi=phi, grad_norm=gn, iters=it, backtracks=backtracks, stop=stop)
 
 
 def minimize(
@@ -279,19 +279,11 @@ def minimize(
             d = rng.standard_normal(k)
             na = math.sqrt(float(d @ G @ d))
             x0 = d * (_START_AMPLITUDES[(j - 1) % len(_START_AMPLITUDES)] / na)
-        x, Jx, gn, iters = _descend(x0, mu, nl, assembly, cap, cfg, t0)
-        phi_x = _quad(assembly.symmetric, x)
-        ok = gn <= cfg.grad_tol and phi_x < cap
-        runs.append(
-            {
-                "x": x,
-                "energy": Jx,
-                "grad_norm": gn,
-                "iters": iters,
-                "converged": ok,
-                "norm_alpha": math.sqrt(max(float(x @ G @ x), 0.0)),
-            }
-        )
+        run = _descend(x0, mu, nl, assembly, cap, cfg, t0)
+        x = run["x"]
+        run["converged"] = run["grad_norm"] <= cfg.grad_tol and run["phi"] < cap
+        run["norm_alpha"] = math.sqrt(max(float(x @ G @ x), 0.0))
+        runs.append(run)
 
     pool = [r_ for r_ in runs if r_["converged"]] or runs
     best = min(pool, key=lambda r_: (r_["energy"], r_["norm_alpha"]))
@@ -310,16 +302,7 @@ def minimize(
     energy = phi - mu * psi
     res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model), model)
     converged = bool(best["converged"])
-    candidates = tuple(
-        {
-            "energy": float(r_["energy"]),
-            "norm_alpha": float(r_["norm_alpha"]),
-            "grad_norm": float(r_["grad_norm"]),
-            "iters": int(r_["iters"]),
-            "converged": bool(r_["converged"]),
-        }
-        for r_ in runs
-    )
+    candidates = tuple({key: r_[key] for key in _CANDIDATE_KEYS} for r_ in runs)
     return SolutionRecord(
         coeffs=u,
         mu=mu,

@@ -10,10 +10,21 @@ import numpy as np
 import pytest
 
 from fracvar.conditions import evaluate_conditions, kappa_alpha
-from fracvar.energy import Nonlinearity, eval_J, eval_phi, power_sum
+from fracvar.energy import (
+    Nonlinearity,
+    affine_power,
+    eval_J,
+    eval_phi,
+    grad_J,
+    power_sum,
+    sqrt_plus,
+    table_datum,
+    zero_datum,
+)
 from fracvar.problem import ProblemSpec
 from fracvar.solver import (
     SolverConfig,
+    _descend,
     certify,
     minimize,
     residual_tolerance,
@@ -142,6 +153,148 @@ def test_solution_is_a_local_minimum(problem_mid, sol_mid, assembly_mid):
             assembly_mid,
         )
         assert J1 >= J0 - 1e-8
+
+
+# ------------------------------------------------- descent against an oracle
+
+
+def _descend_oracle(x0, mu, nl, assembly, cap, cfg, t0):
+    """Reference descent that recomputes each synthesis and Phi at every use.
+
+    Returns (x, J, grad_norm, iters) of the same projected BB iteration
+    as solver._descend, whose reuse of those quantities must not move a
+    single bit.
+    """
+    model = assembly.space
+    Ms = assembly.symmetric
+    w = model.weights
+    B = model.basis
+
+    def quad(x):
+        return float(x @ Ms @ x)
+
+    def Jval(x):
+        synth = x @ B
+        return quad(x) - mu * float(w @ np.asarray(nl.F(synth), dtype=float))
+
+    def grad(x):
+        synth = x @ B
+        fv = np.asarray(nl.f(synth), dtype=float)
+        return 2.0 * (Ms @ x) - mu * (B @ (w * fv))
+
+    def project(x):
+        p = quad(x)
+        if p >= cap and p > 0.0:
+            return x * math.sqrt(cap / p)
+        return x
+
+    x = project(x0.copy())
+    Jx = Jval(x)
+    g = grad(x)
+    x_prev = g_prev = None
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        gn = float(np.linalg.norm(g))
+        if gn <= cfg.grad_tol and quad(x) < cap:
+            break
+        if x_prev is not None:
+            dx = x - x_prev
+            dg = g - g_prev
+            denom = float(dx @ dg)
+            t = float(dx @ dx) / denom if denom > 0.0 else t0
+            t = min(max(t, 1e-14), 1e6 * t0)
+        else:
+            t = t0
+        accepted = False
+        while t > 1e-18 * t0:
+            v = project(x - t * g)
+            decrease = float(g @ (x - v))
+            if decrease > 0.0:
+                Jv = Jval(v)
+                if Jv <= Jx - cfg.armijo_c * decrease:
+                    accepted = True
+                    break
+            t *= cfg.backtrack_factor
+        if not accepted:
+            break
+        x_prev, g_prev = x, g
+        x, Jx = v, Jv
+        g = grad(x)
+    return x, Jx, float(np.linalg.norm(g)), it, grad(x)
+
+
+_ORACLE_DATA = {
+    "power_sum": lambda: power_sum(1.5, 3.0),
+    "affine_power": lambda: affine_power(3.0),
+    "sqrt_plus": sqrt_plus,
+    "table_signed": lambda: table_datum([-3.0, -1.0, 0.0, 2.0], [1.5, -2.0, 0.0, 1.0]),
+    "zero": zero_datum,
+}
+
+
+def _descent_setup(assembly, start):
+    cap = SolverConfig().sublevel_margin * sublevel_radius(1.0, 0.75, 1.0)
+    Ms = assembly.symmetric
+    t0 = 1.0 / float(np.linalg.eigvalsh(Ms + Ms.T).max())
+    k = assembly.space.k_max
+    rng = np.random.default_rng(21)
+    if start == "zero":
+        x0 = np.zeros(k)
+    elif start == "small":
+        x0 = decayed_coeffs(rng, k, amp=1e-2)
+    else:  # Phi(x0) = 4 cap: the first projection rescales
+        d = decayed_coeffs(rng, k)
+        x0 = d * math.sqrt(4.0 * cap / float(d @ Ms @ d))
+    return x0, cap, t0
+
+
+def _assert_matches_oracle(x0, mu, nl, assembly, cap, cfg, t0):
+    run = _descend(x0, mu, nl, assembly, cap, cfg, t0)
+    x, J, gn, iters, g = _descend_oracle(x0, mu, nl, assembly, cap, cfg, t0)
+    assert np.array_equal(run["x"], x)
+    assert run["energy"] == J
+    assert run["grad_norm"] == gn
+    assert run["iters"] == iters
+    assert run["phi"] == float(x @ assembly.symmetric @ x)
+    # the energy layer's objective is the one the descent used
+    u = SpectralElement(run["x"])
+    assert eval_J(u, mu, nl, assembly) == J
+    assert np.array_equal(grad_J(u, mu, nl, assembly), g)
+    return run
+
+
+# mu = 5 puts most minimizers on the sublevel boundary, where every trial
+# point is rescaled and its Phi recomputed
+@pytest.mark.parametrize("mu", [0.25, 5.0])
+@pytest.mark.parametrize("start", ["zero", "small", "outside"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_DATA))
+def test_descend_is_bit_exact_against_oracle(assembly_mid, name, start, mu):
+    x0, cap, t0 = _descent_setup(assembly_mid, start)
+    nl = _ORACLE_DATA[name]()
+    cfg = SolverConfig(max_iters=1000)
+    _assert_matches_oracle(x0, mu, nl, assembly_mid, cap, cfg, t0)
+
+
+@pytest.mark.parametrize(
+    "overrides, stop",
+    [({}, "grad_tol"), ({"max_iters": 40}, "max_iters"), ({"grad_tol": 1e-300}, "line_search")],
+)
+def test_descend_stop_reasons(assembly_mid, overrides, stop):
+    x0, cap, t0 = _descent_setup(assembly_mid, "small")
+    cfg = SolverConfig().replace(**overrides)
+    run = _assert_matches_oracle(x0, 0.25, power_sum(1.5, 3.0), assembly_mid, cap, cfg, t0)
+    assert run["stop"] == stop
+    assert run["backtracks"] > 0
+    if stop == "max_iters":
+        assert run["iters"] == 40
+
+
+def test_minimize_candidates_record_stop_and_backtracks(sol_mid):
+    for c in sol_mid.candidates:
+        assert c["stop"] in ("grad_tol", "max_iters", "line_search")
+        if c["stop"] != "max_iters":  # max_iters leaves an untested last point
+            assert c["converged"] == (c["stop"] == "grad_tol")
+        assert isinstance(c["backtracks"], int) and c["backtracks"] >= 0
 
 
 # -------------------------------------------------- order-one equivalence
