@@ -105,9 +105,11 @@ def _probe_grid(points: int) -> np.ndarray:
 def _dense_envelope(nl: Nonlinearity):
     """Running max of F over |xi| <= gamma, sampled on the dense log grid.
 
-    F(0) = 0 sits inside every symmetric window, so the envelope is
-    floored at zero; a zero envelope therefore means F <= 0 on the whole
-    window and the ratio there is +inf by convention.
+    Built for signed data only: for a nonnegative datum the window
+    maximum is F(gamma) itself. F(0) = 0 sits inside every symmetric
+    window, so the envelope is floored at zero; a zero envelope therefore
+    means F <= 0 on the whole window and the ratio there is +inf by
+    convention.
     """
     xs = _probe_grid(DENSE_POINTS)
     run = np.empty_like(xs)
@@ -189,18 +191,18 @@ def sup_ratio(nl: Nonlinearity) -> SupRatio:
 
     Coarse pass on a 2001-point log grid; the winning bracket is refined
     by golden section. For a nonnegative datum the inner maximum is
-    F(gamma) itself and every evaluation is exact; otherwise the dense
-    running-max envelope supplies the window interior and the ratio
-    inherits its resolution.
+    F(gamma) itself and every evaluation is exact, so no dense envelope
+    is built; otherwise the dense running-max envelope supplies the
+    window interior, F(+-gamma) its endpoints, and the ratio inherits
+    the envelope's resolution.
     """
-    return _sup_ratio(nl, None if nl.nonnegative else _dense_envelope(nl))
+    return _grid_sup(*_coarse_scan(nl))
 
 
-def _sup_ratio(nl: Nonlinearity, envelope) -> SupRatio:
-    """sup_ratio with the (xs, env) pair of _dense_envelope supplied.
+def _coarse_scan(nl: Nonlinearity):
+    """(gammas, ratios, g): the coarse grid, its ratios, and the ratio at one gamma.
 
-    The envelope is read for signed data only; nonnegative data may pass
-    None.
+    The dense envelope is built for signed data only.
     """
     gammas = _probe_grid(COARSE_POINTS)
     if nl.nonnegative:
@@ -212,7 +214,7 @@ def _sup_ratio(nl: Nonlinearity, envelope) -> SupRatio:
             return gamma * gamma / val if val > 0.0 else math.inf
 
     else:
-        xs, env = envelope
+        xs, env = _dense_envelope(nl)
         ratios = _ratio_or_inf(gammas, _window_max(nl, xs, env, gammas))
 
         def g(gamma: float) -> float:
@@ -220,7 +222,7 @@ def _sup_ratio(nl: Nonlinearity, envelope) -> SupRatio:
             e = float(_window_max(nl, xs, env, arr)[0])
             return gamma * gamma / e if e > 0.0 else math.inf
 
-    return _grid_sup(gammas, ratios, g)
+    return gammas, ratios, g
 
 
 def mu_star(nl: Nonlinearity, alpha, T: float) -> float:
@@ -259,10 +261,6 @@ class LimitProbes:
     s0: TriState
     sinf: TriState
     zero: TriState
-
-
-def _scalar(fn, x: float) -> float:
-    return float(np.asarray(fn(np.array([x])))[0])
 
 
 def _trend(values: list[float]) -> tuple[bool, bool]:
@@ -314,14 +312,13 @@ def limit_probes(nl: Nonlinearity, kappa: float) -> LimitProbes:
     is inconclusive.
     """
     small = [10.0 ** -k for k in range(1, SMALL_PROBE_DEPTH + 1)]
-    s0_seq = [_scalar(nl.f, x) / x for x in small]
-    zero_seq = [_scalar(nl.F, x) / (x * x) for x in small]
-
-    sinf_seq = []
-    for k in range(1, LARGE_PROBE_DEPTH + 1):
-        x = 10.0 ** k
-        Fx = _scalar(nl.F, x)
-        sinf_seq.append(x * x / Fx if Fx > 0.0 else math.inf)
+    large = [10.0 ** k for k in range(1, LARGE_PROBE_DEPTH + 1)]
+    f_small = np.asarray(nl.f(np.array(small)), dtype=float).tolist()
+    F_small = np.asarray(nl.F(np.array(small)), dtype=float).tolist()
+    F_large = np.asarray(nl.F(np.array(large)), dtype=float).tolist()
+    s0_seq = [v / x for v, x in zip(f_small, small)]
+    zero_seq = [v / (x * x) for v, x in zip(F_small, small)]
+    sinf_seq = [x * x / v if v > 0.0 else math.inf for v, x in zip(F_large, large)]
 
     return LimitProbes(
         s0=_divergence_verdict(s0_seq, DIVERGENCE_THRESHOLD),
@@ -379,9 +376,11 @@ def phi_r_upper_bound(gamma_bar: float, nl: Nonlinearity, alpha, T: float) -> fl
 class ConditionReport:
     """Everything the admissibility analysis produced for one datum.
 
-    probes keeps a thinned (gamma, ratio) trace of the coarse scan with
-    the refined argmax appended last, so gamma_bar attains the maximal
-    ratio among the retained pairs.
+    probes keeps every 40th (gamma, ratio) pair of the coarse scan that
+    the supremum was taken over, with the refined argmax
+    (gamma_bar, sup_ratio) appended last, so gamma_bar attains the
+    maximal ratio among the retained pairs. For signed data the trace
+    ratios fold F(+-gamma) into the dense envelope, as the scan does.
     """
 
     kappa_alpha: float
@@ -450,8 +449,8 @@ def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:
     attained at the grid edge stays inconclusive.
     """
     kappa = kappa_alpha(alpha, T)
-    xs, env = _dense_envelope(nl)
-    sup = _sup_ratio(nl, (xs, env))
+    gammas, ratios, g = _coarse_scan(nl)
+    sup = _grid_sup(gammas, ratios, g)
     mu = sup.value / kappa
 
     if sup.value > kappa:
@@ -466,9 +465,7 @@ def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:
 
     lim = limit_probes(nl, kappa)
 
-    gammas = _probe_grid(COARSE_POINTS)
-    ratios = _ratio_or_inf(gammas, env[np.searchsorted(xs, gammas, side="right") - 1])
-    trace = [(float(g), float(r)) for g, r in zip(gammas[::40], ratios[::40])]
+    trace = list(zip(gammas[::40].tolist(), ratios[::40].tolist()))
     trace.append((sup.gamma_bar, sup.value))
 
     return ConditionReport(

@@ -271,21 +271,93 @@ def test_report_matches_standalone_quantities_exactly(name):
         assert rep.lambda_right_endpoint is None
 
 
-@pytest.mark.parametrize("name", ["table_signed", "power_sum"])
+@pytest.mark.parametrize("name", sorted(_REPORT_DATA))
 def test_report_evaluates_each_probe_grid_once(name):
     nl = _REPORT_DATA[name]()
     asked = [0]
+    calls = {"f": 0, "F": 0}
 
     def counting_F(x, F=nl.F):
         asked[0] += np.asarray(x).size
+        calls["F"] += 1
         return F(x)
 
-    counted = dataclasses.replace(nl, F=counting_F)
+    def counting_f(x, f=nl.f):
+        calls["f"] += 1
+        return f(x)
+
+    counted = dataclasses.replace(nl, f=counting_f, F=counting_F)
     asked[0] = 0  # replace() re-runs the construction probes
     evaluate_conditions(counted, 0.75, 1.0)
-    # one dense envelope (F at +-xs), one coarse window scan, and a few
-    # dozen golden-section and limit probes
-    assert asked[0] <= 2 * DENSE_POINTS + 2 * COARSE_POINTS + 200
+    if nl.nonnegative:
+        # one coarse scan, a few dozen golden-section and limit probes,
+        # and no dense envelope
+        assert asked[0] <= 2 * COARSE_POINTS + 200
+    else:
+        # one dense envelope (F at +-xs), one coarse window scan, and a
+        # few dozen golden-section and limit probes
+        assert asked[0] <= 2 * DENSE_POINTS + 2 * COARSE_POINTS + 200
+    calls.update(f=0, F=0)
+    limit_probes(counted, 1.0)
+    assert calls == {"f": 1, "F": 2}
+
+
+def _limit_probes_oracle(nl, kappa):
+    # the scalar loop that limit_probes replaced: one call per abscissa
+    def scalar(fn, x):
+        return float(np.asarray(fn(np.array([x])))[0])
+
+    small = [10.0 ** -k for k in range(1, conditions.SMALL_PROBE_DEPTH + 1)]
+    s0_seq = [scalar(nl.f, x) / x for x in small]
+    zero_seq = [scalar(nl.F, x) / (x * x) for x in small]
+    sinf_seq = []
+    for k in range(1, conditions.LARGE_PROBE_DEPTH + 1):
+        x = 10.0 ** k
+        Fx = scalar(nl.F, x)
+        sinf_seq.append(x * x / Fx if Fx > 0.0 else math.inf)
+    return conditions.LimitProbes(
+        s0=conditions._divergence_verdict(s0_seq, conditions.DIVERGENCE_THRESHOLD),
+        sinf=conditions._threshold_verdict(sinf_seq, kappa),
+        zero=conditions._divergence_verdict(zero_seq, conditions.DIVERGENCE_THRESHOLD),
+    )
+
+
+def _limit_probe_data():
+    data = [make() for make in _REPORT_DATA.values()]
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        m = int(rng.integers(3, 9))
+        xs = np.sort(rng.uniform(-4.0, 4.0, m))
+        data.append(table_datum(xs, rng.uniform(-2.0, 2.0, m)))
+        data.append(table_datum(xs, rng.uniform(0.0, 3.0, m)))
+        data.append(power_sum(float(rng.uniform(1.05, 1.95)), float(rng.uniform(2.1, 6.0))))
+    return data
+
+
+def test_batched_limit_probes_match_scalar_loop():
+    for nl in _limit_probe_data():
+        for kappa in (0.5, kappa_alpha(0.75, 1.0), 10.0):
+            assert limit_probes(nl, kappa) == _limit_probes_oracle(nl, kappa), nl.params
+
+
+# The catalog data, plus two draws whose probe trace at an earlier
+# revision held ratios above sup_ratio: there the trace read the dense
+# envelope alone while the supremum folded in F(+-gamma).
+_TRACE_DATA = {
+    **_REPORT_DATA,
+    "power_sum_1.8_5": lambda: power_sum(1.8, 5.0),
+    "affine_power_2.26": lambda: affine_power(2.260092636040421),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_DATA))
+def test_probe_trace_is_the_scan_the_supremum_was_taken_over(name):
+    nl = _TRACE_DATA[name]()
+    rep = evaluate_conditions(nl, 0.75, 1.0)
+    gammas, ratios, _ = conditions._coarse_scan(nl)
+    assert list(rep.probes[:-1]) == list(zip(gammas[::40].tolist(), ratios[::40].tolist()))
+    assert rep.probes[-1] == (rep.gamma_bar, rep.sup_ratio)
+    assert all(r <= rep.sup_ratio for _, r in rep.probes)
 
 
 # F rises to its maximum at xi = 1.5 and falls after, so every later
