@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Refinement study behind the identity-check thresholds.
 
-Measures, across grid doublings:
+Draws the probes exactly as `fracvar kernel-verify` does (the same
+generator, seed and draw order) and measures, across grid doublings:
   * integration-by-parts pairing discrepancy (3 random smooth pairs),
-  * composition sup error for probes with u(0) != 0,
+  * left and right composition sup errors for probes with u(0) != 0,
   * endpoint error of the t^2 power rule.
 
-The first two decay like h with constants ~2.5 and ~3.1, which is where
-the 2.5*h and 8*h thresholds in kernel_verify come from (the composition
-constant is taken with a 2.5x envelope).  The power-rule error decays
-like h^2 and anchors the convergence-order row.
+The composition errors decay like h, so their constants (error / h)
+set the KV_COMP_COEFF * h threshold in kernel_verify; the pairing
+discrepancy decays like h^2 on these probes and sits far under its
+KV_IBP_COEFF * h threshold.  The power-rule error decays like h^2 and
+anchors the convergence-order row.
+
+    PYTHONPATH=src python scripts/kernel_convergence.py --sizes 64 128
 """
 
 import argparse
@@ -21,25 +25,12 @@ from fracvar.frac_kernel import (
     Grid,
     GridFunction,
     caputo_left,
+    caputo_right,
     euler_gamma,
     rl_left_integral,
     rl_right_integral,
 )
-
-
-def smooth(rng, grid, offset):
-    t = grid.nodes
-    u = np.zeros_like(t)
-    up = np.zeros_like(t)
-    for j in range(1, 6):
-        a, b = rng.standard_normal(2) / (j * j)
-        w = j * np.pi / grid.T
-        u += a * np.sin(w * t) + b * np.cos(w * t)
-        up += a * w * np.cos(w * t) - b * w * np.sin(w * t)
-    if offset:
-        u = u + rng.standard_normal()
-    s = np.max(np.abs(u))
-    return u / s, up / s
+from fracvar.harness import _random_smooth
 
 
 def main() -> int:
@@ -48,33 +39,35 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(f"{'n':>6} {'h':>10} {'ibp':>12} {'ibp/h':>8} "
-          f"{'comp':>12} {'comp/h':>8} {'t^2 rule':>12} {'rate':>6}")
+    print(f"{'n':>6} {'h':>10} {'ibp':>12} {'ibp/h':>8} {'left':>12} {'left/h':>8} "
+          f"{'right':>12} {'right/h':>8} {'t^2 rule':>12} {'rate':>6}")
     prev_rule = None
     for n in args.sizes:
         g = Grid(T=1.0, n=n)
-        h = g.T / n
+        h = g.h
         w = np.full(n + 1, h)
         w[0] = w[-1] = h / 2
         rng = np.random.default_rng(args.seed)
 
         ibp = 0.0
         for _ in range(3):
-            f, _ = smooth(rng, g, offset=True)
-            q, _ = smooth(rng, g, offset=True)
+            f, _ = _random_smooth(rng, g, g.T)
+            q, _ = _random_smooth(rng, g, g.T)
             for gam in (0.3, 0.5, 0.9):
                 o = FracOrder(gam)
-                lhs = np.sum(w * rl_left_integral(GridFunction(g, f), o).values * q)
-                rhs = np.sum(w * f * rl_right_integral(GridFunction(g, q), o).values)
+                lhs = float(w @ (rl_left_integral(GridFunction(g, f), o).values * q))
+                rhs = float(w @ (rl_right_integral(GridFunction(g, q), o).values * f))
                 ibp = max(ibp, abs(lhs - rhs))
 
-        comp = 0.0
+        left = right = 0.0
         for _ in range(2):
-            u, up = smooth(rng, g, offset=True)
+            u, up = _random_smooth(rng, g, g.T)
+            dgf = GridFunction(g, up)
             for gam in (0.6, 0.75, 0.9):
-                cap = caputo_left(GridFunction(g, up), FracOrder.derivative(gam))
-                rec = rl_left_integral(cap, FracOrder(gam))
-                comp = max(comp, float(np.max(np.abs(rec.values - (u - u[0])))))
+                rec = rl_left_integral(caputo_left(dgf, FracOrder.derivative(gam)), FracOrder(gam))
+                left = max(left, float(np.max(np.abs(rec.values - (u - u[0])))))
+                rec = rl_right_integral(caputo_right(dgf, FracOrder.derivative(gam)), FracOrder(gam))
+                right = max(right, float(np.max(np.abs(rec.values - (u - u[-1])))))
 
         out = rl_left_integral(GridFunction(g, g.nodes**2), FracOrder(0.5))
         exact = euler_gamma(3.0) / euler_gamma(3.5) * g.nodes**2.5
@@ -82,8 +75,8 @@ def main() -> int:
         rate = np.log2(prev_rule / rule) if prev_rule else float("nan")
         prev_rule = rule
 
-        print(f"{n:>6} {h:>10.3e} {ibp:>12.3e} {ibp / h:>8.2f} "
-              f"{comp:>12.3e} {comp / h:>8.2f} {rule:>12.3e} {rate:>6.2f}")
+        print(f"{n:>6} {h:>10.3e} {ibp:>12.3e} {ibp / h:>8.3g} {left:>12.3e} {left / h:>8.3g} "
+              f"{right:>12.3e} {right / h:>8.3g} {rule:>12.3e} {rate:>6.2f}")
     return 0
 
 

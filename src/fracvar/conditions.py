@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .codec import JsonCodec
 from .energy import Nonlinearity
 from .errors import HypothesisError
 from .frac_kernel import FracOrder, euler_gamma
@@ -373,7 +373,7 @@ def phi_r_upper_bound(gamma_bar: float, nl: Nonlinearity, alpha, T: float) -> fl
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(JsonCodec):
     """Everything the admissibility analysis produced for one datum.
 
     probes keeps every 40th (gamma, ratio) pair of the coarse scan that
@@ -393,51 +393,7 @@ class ConditionReport:
     s0_holds: TriState
     sinf_holds: TriState
     zero_holds: TriState
-    probes: tuple = field(repr=False)
-
-    def to_jsonable(self) -> dict:
-        def enc(x):
-            if x is None:
-                return None
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return x
-
-        return {
-            "kappa_alpha": self.kappa_alpha,
-            "sup_ratio": enc(self.sup_ratio),
-            "gamma_bar": enc(self.gamma_bar),
-            "sup_at_boundary": self.sup_at_boundary,
-            "mu_star": enc(self.mu_star),
-            "lambda_right_endpoint": enc(self.lambda_right_endpoint),
-            "sg_holds": self.sg_holds.value,
-            "s0_holds": self.s0_holds.value,
-            "sinf_holds": self.sinf_holds.value,
-            "zero_holds": self.zero_holds.value,
-            "probes": [[g, enc(r)] for g, r in self.probes],
-        }
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ConditionReport":
-        def dec(x):
-            return math.inf if x == "inf" else x
-
-        return cls(
-            kappa_alpha=d["kappa_alpha"],
-            sup_ratio=dec(d["sup_ratio"]),
-            gamma_bar=dec(d["gamma_bar"]),
-            sup_at_boundary=d["sup_at_boundary"],
-            mu_star=dec(d["mu_star"]),
-            lambda_right_endpoint=dec(d["lambda_right_endpoint"]),
-            sg_holds=TriState(d["sg_holds"]),
-            s0_holds=TriState(d["s0_holds"]),
-            sinf_holds=TriState(d["sinf_holds"]),
-            zero_holds=TriState(d["zero_holds"]),
-            probes=tuple((g, dec(r)) for g, r in d["probes"]),
-        )
+    probes: tuple[tuple[float, float], ...] = field(repr=False)
 
 
 def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:

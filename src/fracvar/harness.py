@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import conditions as cond
+from .codec import JsonCodec
 from .energy import eval_J
 from .errors import FracvarError, HypothesisError
 from .frac_kernel import (
@@ -52,10 +52,12 @@ _NORM_DECAY_FRACTION = 0.1
 _STRICT_TOL = 1e-10
 
 # kernel-verify thresholds; coefficients fixed by the refinement study in
-# scripts/kernel_convergence.py, with >2x headroom over the measured
-# constants so the suite stays green across seeds.  The composition
-# probes (smooth u, u(0) != 0) converge at first order with constant
-# 3.06 over n in [256, 2048], hence a C*h threshold.
+# scripts/kernel_convergence.py, which draws these same probes.  The
+# composition probes (smooth u, u(0) != 0) converge at first order, hence
+# a C*h threshold: over seeds 0-7 and n in [128, 2048] the worst constants
+# are 5.53 (left) and 3.87 (right), 1.45x under KV_COMP_COEFF (at n = 1024,
+# seed 7, measured/threshold is 0.69).  The pairing error stays below
+# 0.006 h there, far under KV_IBP_COEFF * h.
 KV_POWER_TOL = 1e-12
 KV_IBP_COEFF = 2.5
 KV_COMP_COEFF = 8.0
@@ -64,7 +66,7 @@ KV_ORDER_MIN = 1.5
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(JsonCodec):
     """Solved records over an increasing mu grid plus computed verdicts.
 
     negativity: every energy is negative.  monotonicity: energies
@@ -73,39 +75,13 @@ class SweepReport:
     trivial_datum flags a sweep whose every record is the zero element.
     """
 
-    mu_values: tuple
-    records: tuple
+    mu_values: tuple[float, ...]
+    records: tuple[SolutionRecord, ...]
     monotonicity_verdict: bool
     negativity_verdict: bool
     norm_decay_verdict: bool
     trivial_datum: bool
     conditions: cond.ConditionReport
-
-    def to_jsonable(self) -> dict:
-        return {
-            "mu_values": list(self.mu_values),
-            "records": [r.to_jsonable() for r in self.records],
-            "monotonicity_verdict": self.monotonicity_verdict,
-            "negativity_verdict": self.negativity_verdict,
-            "norm_decay_verdict": self.norm_decay_verdict,
-            "trivial_datum": self.trivial_datum,
-            "conditions": self.conditions.to_jsonable(),
-        }
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "SweepReport":
-        return cls(
-            mu_values=tuple(d["mu_values"]),
-            records=tuple(SolutionRecord.from_jsonable(r) for r in d["records"]),
-            monotonicity_verdict=d["monotonicity_verdict"],
-            negativity_verdict=d["negativity_verdict"],
-            norm_decay_verdict=d["norm_decay_verdict"],
-            trivial_datum=d["trivial_datum"],
-            conditions=cond.ConditionReport.from_jsonable(d["conditions"]),
-        )
 
 
 def run_sweep(
@@ -167,7 +143,7 @@ def run_sweep(
 
 
 @dataclass(frozen=True)
-class RayScanReport:
+class RayScanReport(JsonCodec):
     """Energy along a ray tau -> J(tau u) with a tail growth fit.
 
     fitted_exponent is the log-log slope of |J| over the last three
@@ -176,25 +152,12 @@ class RayScanReport:
     with J -> -inf at the catalog's expected rate.
     """
 
-    taus: tuple
-    values: tuple
+    taus: tuple[float, ...]
+    values: tuple[float, ...]
     fitted_exponent: float | None
     expected_exponent: float | None
     tail_negative: bool
     unbounded_verdict: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "taus": list(self.taus),
-            "values": list(self.values),
-            "fitted_exponent": self.fitted_exponent,
-            "expected_exponent": self.expected_exponent,
-            "tail_negative": self.tail_negative,
-            "unbounded_verdict": self.unbounded_verdict,
-        }
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
 
 
 _EXPONENT_SLACK = 0.3
@@ -542,8 +505,7 @@ def _cmd_conditions(args) -> int:
     print()
     for name in ("sg_holds", "s0_holds", "sinf_holds", "zero_holds"):
         print(f"{name:<12} {getattr(report, name).value}")
-    ms = report.mu_star
-    print(f"{'mu_star':<12} {'inf' if math.isinf(ms) else repr(ms)}")
+    print(f"{'mu_star':<12} {_fmt(report.mu_star)}")
     return 0
 
 

@@ -11,7 +11,6 @@ record into explicit pass/fail certificates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -19,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import conditions as cond
+from .codec import JsonCodec, custom
 from .energy import EnergyAssembly, Nonlinearity, eval_phi, eval_psi
 from .frac_kernel import (
     FracOrder,
@@ -97,7 +97,7 @@ def sublevel_radius(gamma_bar: float, alpha, T: float) -> float:
 
 
 @dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(JsonCodec):
     """One solve at one mu, with everything the reports need.
 
     energy is phi - mu*psi by construction.  nontrivial is the certified
@@ -106,7 +106,7 @@ class SolutionRecord:
     minimizer switching from discretization artifacts.
     """
 
-    coeffs: SpectralElement
+    coeffs: SpectralElement = field(metadata=custom(lambda u: u.coeffs.tolist(), SpectralElement))
     mu: float
     norm_alpha: float
     norm_inf: float
@@ -119,50 +119,8 @@ class SolutionRecord:
     restarts_used: int
     gamma_bar: float
     r_radius: float
-    candidates: tuple = field(repr=False)
-    node_values: tuple = field(repr=False)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs.coeffs),
-            "mu": self.mu,
-            "norm_alpha": self.norm_alpha,
-            "norm_inf": self.norm_inf,
-            "phi": self.phi,
-            "psi": self.psi,
-            "energy": self.energy,
-            "residual": self.residual,
-            "converged": self.converged,
-            "nontrivial": self.nontrivial,
-            "restarts_used": self.restarts_used,
-            "gamma_bar": self.gamma_bar,
-            "r_radius": self.r_radius,
-            "candidates": [dict(c) for c in self.candidates],
-            "node_values": list(self.node_values),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "SolutionRecord":
-        return cls(
-            coeffs=SpectralElement(tuple(d["coeffs"])),
-            mu=d["mu"],
-            norm_alpha=d["norm_alpha"],
-            norm_inf=d["norm_inf"],
-            phi=d["phi"],
-            psi=d["psi"],
-            energy=d["energy"],
-            residual=d["residual"],
-            converged=d["converged"],
-            nontrivial=d["nontrivial"],
-            restarts_used=d["restarts_used"],
-            gamma_bar=d["gamma_bar"],
-            r_radius=d["r_radius"],
-            candidates=tuple(dict(c) for c in d["candidates"]),
-            node_values=tuple(d["node_values"]),
-        )
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+    candidates: tuple[dict, ...] = field(repr=False)
+    node_values: tuple[float, ...] = field(repr=False)
 
 
 def _descend(
@@ -384,7 +342,7 @@ def residual_tolerance(alpha, n: int, T: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class CertificateSet:
+class CertificateSet(JsonCodec):
     """Pass/fail certificates for one record.
 
     negative_energy is None when the hypotheses that would guarantee a
@@ -398,15 +356,6 @@ class CertificateSet:
     residual_ok: bool
     interior: bool
     residual_tol: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "inf_norm_bound": self.inf_norm_bound,
-            "negative_energy": self.negative_energy,
-            "residual_ok": self.residual_ok,
-            "interior": self.interior,
-            "residual_tol": self.residual_tol,
-        }
 
 
 def certify(

@@ -9,12 +9,12 @@ cached arrays.  Models are safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import OMIT, JsonCodec
 from .frac_kernel import (
     FracOrder,
     Grid,
@@ -81,7 +81,6 @@ class SpaceModel:
     caputo_right_images: np.ndarray
     weights: np.ndarray
     embedding_constant: float
-    kappa_alpha: float
 
     def __post_init__(self) -> None:
         for name in (
@@ -163,8 +162,6 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     weights[-1] = 0.5 * grid.h
 
     c = embedding_constant(config.alpha, config.T)
-    kappa = c * c * config.T / abs(math.cos(math.pi * config.alpha))
-
     return SpaceModel(
         config=config,
         grid=grid,
@@ -174,7 +171,6 @@ def build_space(config: SpaceConfig) -> SpaceModel:
         caputo_right_images=np.vstack(right_rows),
         weights=weights,
         embedding_constant=c,
-        kappa_alpha=kappa,
     )
 
 
@@ -231,7 +227,7 @@ def norms(u: SpectralElement, model: SpaceModel) -> Norms:
 
 
 @dataclass
-class AuditReport:
+class AuditReport(JsonCodec):
     """Outcome of a randomized embedding audit.
 
     violations_* count trials where an inequality failed beyond the
@@ -247,20 +243,7 @@ class AuditReport:
     tightest_ratio_a: float
     tightest_ratio_b: float
     seed: int
-    offenders: list = field(default_factory=list, repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "violations_a": self.violations_a,
-            "violations_b": self.violations_b,
-            "violations_c": self.violations_c,
-            "tightest_ratio_a": self.tightest_ratio_a,
-            "tightest_ratio_b": self.tightest_ratio_b,
-            "seed": self.seed,
-        }
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+    offenders: list = field(default_factory=list, repr=False, metadata=OMIT)
 
 
 def audit_embeddings(

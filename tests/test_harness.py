@@ -10,10 +10,21 @@ import math
 import numpy as np
 import pytest
 
+from fracvar.conditions import ConditionReport
 from fracvar.energy import affine_power, from_tag, zero_datum
 from fracvar.errors import HypothesisError
-from fracvar.harness import cli_main, emit_report, kernel_verify, ray_scan, run_sweep
+from fracvar.harness import (
+    RayScanReport,
+    SweepReport,
+    cli_main,
+    emit_report,
+    kernel_verify,
+    ray_scan,
+    run_sweep,
+)
 from fracvar.problem import ProblemSpec
+from fracvar.solver import _CANDIDATE_KEYS, CertificateSet, SolutionRecord, certify
+from fracvar.space import AuditReport
 
 
 # ---------------------------------------------------------- kernel rows
@@ -183,10 +194,93 @@ def test_emit_sweep_csv_is_reproducible(tmp_path, sweep_small):
 def test_emit_sweep_json_round_trip(tmp_path, sweep_small):
     out = tmp_path / "sweep.json"
     emit_report(sweep_small, out, format="json")
-    doc = json.loads(out.read_text())
+    body = out.read_text()
+    doc = json.loads(body)
     assert doc["monotonicity_verdict"] is True
     assert len(doc["records"]) == 8
     assert doc["records"][0]["mu"] == pytest.approx(0.05)
+    assert SweepReport.from_jsonable(doc).json_str() + "\n" == body
+
+
+def test_zero_datum_sweep_json_round_trip(tmp_path):
+    # mu_star is +inf here, so the nested report carries the "inf" encoding
+    spec = ProblemSpec(alpha=0.75, T=1.0, n=128, k_max=8, nonlinearity=zero_datum())
+    out = tmp_path / "zero.json"
+    emit_report(run_sweep(spec, 0.1, 1.0, 4), out, format="json")
+    body = out.read_text()
+    doc = json.loads(body)
+    assert doc["conditions"]["mu_star"] == "inf"
+    back = SweepReport.from_jsonable(doc)
+    assert math.isinf(back.conditions.mu_star)
+    assert back.json_str() + "\n" == body
+
+
+# top-level JSON keys of every report, in field order; a new dataclass
+# field must not reach the JSON without a change here
+_REPORT_KEYS = {
+    SweepReport: [
+        "mu_values", "records", "monotonicity_verdict", "negativity_verdict",
+        "norm_decay_verdict", "trivial_datum", "conditions",
+    ],
+    SolutionRecord: [
+        "coeffs", "mu", "norm_alpha", "norm_inf", "phi", "psi", "energy", "residual",
+        "converged", "nontrivial", "restarts_used", "gamma_bar", "r_radius",
+        "candidates", "node_values",
+    ],
+    CertificateSet: ["inf_norm_bound", "negative_energy", "residual_ok", "interior", "residual_tol"],
+    ConditionReport: [
+        "kappa_alpha", "sup_ratio", "gamma_bar", "sup_at_boundary", "mu_star",
+        "lambda_right_endpoint", "sg_holds", "s0_holds", "sinf_holds", "zero_holds", "probes",
+    ],
+    RayScanReport: [
+        "taus", "values", "fitted_exponent", "expected_exponent", "tail_negative",
+        "unbounded_verdict",
+    ],
+    AuditReport: [
+        "violations_a", "violations_b", "violations_c", "tightest_ratio_a",
+        "tightest_ratio_b", "seed",
+    ],
+}
+
+
+def test_report_json_layout(problem_small, sweep_small):
+    rec = sweep_small.records[0]
+    audit = AuditReport(0, 1, 0, 0.5, 0.25, seed=3, offenders=[np.ones(4)])
+    reports = [
+        sweep_small,
+        rec,
+        certify(rec, problem_small, sweep_small.conditions),
+        sweep_small.conditions,
+        ray_scan(problem_small, 0.25),
+        audit,
+    ]
+    assert {type(r) for r in reports} == set(_REPORT_KEYS)
+    for rep in reports:
+        doc = json.loads(rep.json_str())
+        assert list(rep.to_jsonable()) == _REPORT_KEYS[type(rep)]
+        assert sorted(doc) == sorted(_REPORT_KEYS[type(rep)])
+        assert type(rep).from_jsonable(doc).json_str() == rep.json_str()
+    assert "offenders" not in audit.to_jsonable()
+    for r in sweep_small.records:
+        for cand in r.to_jsonable()["candidates"]:
+            assert tuple(cand) == _CANDIDATE_KEYS
+
+
+def test_codec_encodes_both_infinities():
+    rep = RayScanReport(
+        taus=(1.0, 2.0, 3.0),
+        values=(-math.inf, 0.5, math.inf),
+        fitted_exponent=None,
+        expected_exponent=math.inf,
+        tail_negative=False,
+        unbounded_verdict=False,
+    )
+    doc = json.loads(rep.json_str())
+    assert doc["values"] == ["-inf", 0.5, "inf"]
+    assert doc["expected_exponent"] == "inf"
+    assert doc["fitted_exponent"] is None
+    back = RayScanReport.from_jsonable(doc)
+    assert back == rep
 
 
 def test_emit_rejects_unknown_format(tmp_path, sweep_small):
