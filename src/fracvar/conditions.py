@@ -7,6 +7,11 @@ admissible interval for nonnegative data, tri-state probes for the limit
 conditions at 0+ and at infinity, and the closed forms available for the
 two-power catalog datum.
 
+The window maximum max_{|xi| <= gamma} F(xi) is exact, not sampled: it
+is attained at +-gamma, at 0, or at one of F's interior local maxima
+(the points where f crosses from + to -), which the catalog supplies
+through energy.potential_peaks.
+
 Numerical probes cannot certify limits, so every limit verdict is a
 TriState and a supremum attained at the edge of the probe grid is
 flagged rather than extrapolated.
@@ -23,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .codec import JsonCodec
-from .energy import Nonlinearity
+from .energy import Nonlinearity, potential_peaks
 from .errors import HypothesisError
 from .frac_kernel import FracOrder, euler_gamma
 
@@ -47,8 +52,6 @@ __all__ = [
 PROBE_GAMMA_MIN = 1e-6
 PROBE_GAMMA_MAX = 1e6
 COARSE_POINTS = 2001
-DENSE_POINTS = 120001  # 1e4 per decade over 12 decades
-_ENVELOPE_BLOCK = 8192  # 64 KiB of float64, below malloc's mmap threshold
 DIVERGENCE_THRESHOLD = 1e6
 SMALL_PROBE_DEPTH = 14
 LARGE_PROBE_DEPTH = 8
@@ -86,10 +89,6 @@ class SupRatio:
     gamma_bar: float
     at_boundary: bool = False
 
-    def __iter__(self):
-        # unpacks as the (value, gamma_bar) pair
-        return iter((self.value, self.gamma_bar))
-
 
 @functools.cache
 def _probe_grid(points: int) -> np.ndarray:
@@ -102,36 +101,10 @@ def _probe_grid(points: int) -> np.ndarray:
     return grid
 
 
-def _dense_envelope(nl: Nonlinearity):
-    """Running max of F over |xi| <= gamma, sampled on the dense log grid.
-
-    Built for signed data only: for a nonnegative datum the window
-    maximum is F(gamma) itself. F(0) = 0 sits inside every symmetric
-    window, so the envelope is floored at zero; a zero envelope therefore
-    means F <= 0 on the whole window and the ratio there is +inf by
-    convention.
-    """
-    xs = _probe_grid(DENSE_POINTS)
-    run = np.empty_like(xs)
-    # F is pointwise, so it is evaluated block by block: its temporaries
-    # stay small enough to be reused from the heap instead of being
-    # paged in afresh on every call.  The running max carries across
-    # blocks through the same recurrence as one accumulate over all of xs.
-    for lo in range(0, len(xs), _ENVELOPE_BLOCK):
-        x = xs[lo : lo + _ENVELOPE_BLOCK]
-        both = np.maximum(
-            np.asarray(nl.F(x), dtype=float), np.asarray(nl.F(-x), dtype=float)
-        )
-        if lo:
-            both[0] = np.maximum(run[lo - 1], both[0])
-        np.maximum.accumulate(both, out=run[lo : lo + len(x)])
-    return xs, np.maximum(run, 0.0, out=run)
-
-
-def _ratio_or_inf(gammas: np.ndarray, env: np.ndarray) -> np.ndarray:
+def _ratio_or_inf(gammas: np.ndarray, window: np.ndarray) -> np.ndarray:
     out = np.full_like(gammas, np.inf)
-    pos = env > 0.0
-    out[pos] = gammas[pos] ** 2 / env[pos]
+    pos = window > 0.0
+    out[pos] = gammas[pos] ** 2 / window[pos]
     return out
 
 
@@ -173,54 +146,59 @@ def _grid_sup(gammas: np.ndarray, ratios: np.ndarray, g: Callable[[float], float
     return SupRatio(best, arg, False)
 
 
-def _window_max(nl: Nonlinearity, xs: np.ndarray, env: np.ndarray, gammas: np.ndarray):
-    """max(F) over [-gamma, gamma]: envelope below gamma plus the endpoint.
+def _window_max(nl: Nonlinearity) -> Callable[[np.ndarray], np.ndarray]:
+    """The map gammas -> max_{|xi| <= gamma} F(xi), exact at every gamma.
 
-    The coarse and dense grids do not share floats, so the envelope alone
-    can lag one dense step below gamma; folding in F(+-gamma) makes the
-    window value exact at its own endpoint.
+    The maximum over [-gamma, gamma] is attained at an endpoint, at 0
+    (F(0) = 0), or at an interior local maximum p of F with |p| <= gamma.
+    The peak values are read once, as a running max ordered by |p|, so
+    each gamma costs F(+-gamma) and one lookup.  Nonnegative data have no
+    peaks and F is nondecreasing from F(0) = 0, so there it is F(gamma).
     """
-    idx = np.clip(np.searchsorted(xs, gammas, side="right") - 1, 0, len(xs) - 1)
-    Fp = np.asarray(nl.F(gammas), dtype=float)
-    Fm = np.asarray(nl.F(-gammas), dtype=float)
-    return np.maximum.reduce([env[idx], Fp, Fm, np.zeros_like(gammas)])
+    F = nl.F
+    if nl.nonnegative:
+        return lambda gammas: np.asarray(F(gammas), dtype=float)
+    peaks = potential_peaks(nl)
+    if peaks is None:
+        raise HypothesisError(
+            f"signed datum {nl.kind!r} has no known peaks of its potential, "
+            "so max F over [-gamma, gamma] cannot be computed"
+        )
+    order = np.argsort(np.abs(peaks))
+    radii = np.abs(peaks)[order]
+    # inner[k]: max of F(0) = 0 and the k peaks nearest the origin
+    inner = np.maximum.accumulate(
+        np.concatenate(([0.0], np.asarray(F(peaks[order]), dtype=float)))
+    )
+
+    def window_max(gammas: np.ndarray) -> np.ndarray:
+        ends = np.maximum(np.asarray(F(gammas), dtype=float), np.asarray(F(-gammas), dtype=float))
+        return np.maximum(ends, inner[np.searchsorted(radii, gammas, side="right")])
+
+    return window_max
 
 
 def sup_ratio(nl: Nonlinearity) -> SupRatio:
     """Supremum over gamma > 0 of gamma^2 / max_{|xi| <= gamma} F(xi).
 
     Coarse pass on a 2001-point log grid; the winning bracket is refined
-    by golden section. For a nonnegative datum the inner maximum is
-    F(gamma) itself and every evaluation is exact, so no dense envelope
-    is built; otherwise the dense running-max envelope supplies the
-    window interior, F(+-gamma) its endpoints, and the ratio inherits
-    the envelope's resolution.
+    by golden section. Both read the exact window maximum, so every
+    probed ratio is exact up to rounding and only the probe grid limits
+    the supremum. A signed datum outside the catalog raises
+    HypothesisError.
     """
     return _grid_sup(*_coarse_scan(nl))
 
 
 def _coarse_scan(nl: Nonlinearity):
-    """(gammas, ratios, g): the coarse grid, its ratios, and the ratio at one gamma.
-
-    The dense envelope is built for signed data only.
-    """
+    """(gammas, ratios, g): the coarse grid, its ratios, and the ratio at one gamma."""
     gammas = _probe_grid(COARSE_POINTS)
-    if nl.nonnegative:
-        Fg = np.asarray(nl.F(gammas), dtype=float)
-        ratios = _ratio_or_inf(gammas, np.maximum(Fg, 0.0))
+    window_max = _window_max(nl)
+    ratios = _ratio_or_inf(gammas, window_max(gammas))
 
-        def g(gamma: float) -> float:
-            val = float(np.asarray(nl.F(np.array([gamma])))[0])
-            return gamma * gamma / val if val > 0.0 else math.inf
-
-    else:
-        xs, env = _dense_envelope(nl)
-        ratios = _ratio_or_inf(gammas, _window_max(nl, xs, env, gammas))
-
-        def g(gamma: float) -> float:
-            arr = np.array([gamma])
-            e = float(_window_max(nl, xs, env, arr)[0])
-            return gamma * gamma / e if e > 0.0 else math.inf
+    def g(gamma: float) -> float:
+        e = float(window_max(np.array([gamma]))[0])
+        return gamma * gamma / e if e > 0.0 else math.inf
 
     return gammas, ratios, g
 
@@ -359,16 +337,12 @@ def phi_r_upper_bound(gamma_bar: float, nl: Nonlinearity, alpha, T: float) -> fl
 
     A computable upper bound for the sublevel ratio whose strict
     comparison with 1/mu decides admissibility; the exact infimum it
-    bounds is out of scope here.
+    bounds is out of scope here. The window maximum is the exact one the
+    supremum uses.
     """
     if not gamma_bar > 0.0:
         raise ValueError(f"gamma_bar must be positive, got {gamma_bar}")
-    xs = np.linspace(0.0, gamma_bar, 10001)
-    max_F = max(
-        float(np.max(np.asarray(nl.F(xs), dtype=float))),
-        float(np.max(np.asarray(nl.F(-xs), dtype=float))),
-    )
-    max_F = max(max_F, 0.0)
+    max_F = float(_window_max(nl)(np.array([gamma_bar]))[0])
     return kappa_alpha(alpha, T) * max_F / (gamma_bar * gamma_bar)
 
 
@@ -379,8 +353,8 @@ class ConditionReport(JsonCodec):
     probes keeps every 40th (gamma, ratio) pair of the coarse scan that
     the supremum was taken over, with the refined argmax
     (gamma_bar, sup_ratio) appended last, so gamma_bar attains the
-    maximal ratio among the retained pairs. For signed data the trace
-    ratios fold F(+-gamma) into the dense envelope, as the scan does.
+    maximal ratio among the retained pairs. Every ratio, signed data
+    included, reads the exact window maximum of F.
     """
 
     kappa_alpha: float

@@ -27,6 +27,7 @@ __all__ = [
     "zero_datum",
     "table_datum",
     "from_tag",
+    "potential_peaks",
     "NONLINEARITY_TAGS",
     "EnergyAssembly",
     "build_assembly",
@@ -230,6 +231,26 @@ def from_tag(kind: str, **params) -> Nonlinearity:
             f"unknown nonlinearity kind {kind!r}; known: {sorted(NONLINEARITY_TAGS)}"
         ) from None
     return factory(**params)
+
+
+def potential_peaks(nl: Nonlinearity) -> np.ndarray | None:
+    """Interior local maxima of F: the points where f crosses from + to -.
+
+    Read from kind and params alone, so any copy of a catalog datum that
+    keeps those two has the same peaks.  A table's peaks are the zeros
+    of its interpolant on the segments with f_a > 0 >= f_b; nonnegative
+    data and affine_power have none (the one critical point of
+    affine_power, -1, is a minimum).  A signed datum outside the catalog
+    gives None.
+    """
+    if nl.nonnegative or nl.kind == "affine_power":
+        return np.empty(0)
+    if nl.kind != "table":
+        return None
+    xs = np.asarray(nl.params["xs"], dtype=float)
+    fs = np.asarray(nl.params["fs"], dtype=float)
+    a = np.flatnonzero((fs[:-1] > 0.0) & (fs[1:] <= 0.0))
+    return xs[a] + fs[a] / (fs[a] - fs[a + 1]) * (xs[a + 1] - xs[a])
 
 
 @dataclass(frozen=True, eq=False)

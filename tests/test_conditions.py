@@ -13,7 +13,6 @@ import pytest
 from fracvar import conditions
 from fracvar.conditions import (
     COARSE_POINTS,
-    DENSE_POINTS,
     ConditionReport,
     TriState,
     evaluate_conditions,
@@ -25,7 +24,15 @@ from fracvar.conditions import (
     phi_r_upper_bound,
     sup_ratio,
 )
-from fracvar.energy import affine_power, power_sum, sqrt_plus, table_datum, zero_datum
+from fracvar.energy import (
+    Nonlinearity,
+    affine_power,
+    potential_peaks,
+    power_sum,
+    sqrt_plus,
+    table_datum,
+    zero_datum,
+)
 from fracvar.errors import HypothesisError
 
 from oracles import kappa_ref
@@ -166,6 +173,13 @@ def test_phi_r_upper_bound_definition():
     assert b2 == pytest.approx(kappa_alpha(0.75, 1.0) * F2 / 4.0, rel=1e-9)
     with pytest.raises(ValueError):
         phi_r_upper_bound(0.0, nl, 0.75, 1.0)
+    # f = 1 on [0, 1], then falls linearly to -1 at xi = 2 and stays
+    # there: F peaks at xi = 1.5 with F = 1 + 1/4, above F(3) = 0 and
+    # F(-3) = -3, so the window max over [-3, 3] is the interior peak
+    peaked = table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0])
+    assert phi_r_upper_bound(3.0, peaked, 0.75, 1.0) == pytest.approx(
+        kappa_alpha(0.75, 1.0) * 1.25 / 9.0, rel=1e-12
+    )
 
 
 # ---------------------------------------------------------- limit probes
@@ -289,14 +303,9 @@ def test_report_evaluates_each_probe_grid_once(name):
     counted = dataclasses.replace(nl, f=counting_f, F=counting_F)
     asked[0] = 0  # replace() re-runs the construction probes
     evaluate_conditions(counted, 0.75, 1.0)
-    if nl.nonnegative:
-        # one coarse scan, a few dozen golden-section and limit probes,
-        # and no dense envelope
-        assert asked[0] <= 2 * COARSE_POINTS + 200
-    else:
-        # one dense envelope (F at +-xs), one coarse window scan, and a
-        # few dozen golden-section and limit probes
-        assert asked[0] <= 2 * DENSE_POINTS + 2 * COARSE_POINTS + 200
+    # one coarse scan (F at +-gamma for signed data), F at each peak,
+    # and a few dozen golden-section and limit probes
+    assert asked[0] <= 2 * COARSE_POINTS + 200
     calls.update(f=0, F=0)
     limit_probes(counted, 1.0)
     assert calls == {"f": 1, "F": 2}
@@ -341,8 +350,8 @@ def test_batched_limit_probes_match_scalar_loop():
 
 
 # The catalog data, plus two draws whose probe trace at an earlier
-# revision held ratios above sup_ratio: there the trace read the dense
-# envelope alone while the supremum folded in F(+-gamma).
+# revision held ratios above sup_ratio: there the trace and the
+# supremum read two different window maxima of F.
 _TRACE_DATA = {
     **_REPORT_DATA,
     "power_sum_1.8_5": lambda: power_sum(1.8, 5.0),
@@ -360,20 +369,75 @@ def test_probe_trace_is_the_scan_the_supremum_was_taken_over(name):
     assert all(r <= rep.sup_ratio for _, r in rep.probes)
 
 
-# F rises to its maximum at xi = 1.5 and falls after, so every later
-# block of the dense envelope only carries that maximum forward
-_ENVELOPE_DATA = {
-    **_REPORT_DATA,
-    "table_peaked": lambda: table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0]),
+# --------------------------------------------------------- window maximum
+
+
+def _oracle_window_max(nl, xs):
+    # plain running max of F over the sampled window [-x, x], floored by F(0) = 0
+    both = np.maximum(np.asarray(nl.F(xs), dtype=float), np.asarray(nl.F(-xs), dtype=float))
+    return np.maximum(np.maximum.accumulate(both), 0.0)
+
+
+def _signed_tables():
+    rng = np.random.default_rng(31)
+    tables = []
+    for _ in range(50):
+        m = int(rng.integers(3, 9))
+        xs = np.sort(rng.uniform(-4.0, 4.0, m))
+        tables.append(table_datum(xs, rng.uniform(-2.0, 2.0, m)))
+    return tables
+
+
+# Every catalog kind; in table_peaked F rises to its maximum at xi = 1.5
+# and falls after, so only the interior peak carries the window maximum
+_WINDOW_DATA = {
+    **{name: (lambda make=make: [make()]) for name, make in _REPORT_DATA.items()},
+    "table_peaked": lambda: [table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0])],
+    "signed_tables": _signed_tables,
 }
 
 
-@pytest.mark.parametrize("name", sorted(_ENVELOPE_DATA))
-def test_blocked_envelope_equals_one_accumulate(name):
-    # the dense envelope is built block by block; it must equal one
-    # running max over the whole grid, bit for bit
-    nl = _ENVELOPE_DATA[name]()
-    xs, env = conditions._dense_envelope(nl)
-    both = np.maximum(np.asarray(nl.F(xs), dtype=float), np.asarray(nl.F(-xs), dtype=float))
-    assert len(xs) == DENSE_POINTS
-    assert np.array_equal(env, np.maximum(np.maximum.accumulate(both), 0.0))
+@pytest.mark.parametrize("name", sorted(_WINDOW_DATA))
+def test_window_max_matches_dense_oracle(name):
+    xs = np.linspace(0.0, 6.0, 100001)
+    h = float(xs[1] - xs[0])
+    for nl in _WINDOW_DATA[name]():
+        exact = conditions._window_max(nl)(xs)
+        oracle = _oracle_window_max(nl, xs)
+        # the oracle samples a subset of each window, so it cannot exceed
+        # the exact maximum beyond roundoff
+        scale = 1e-13 * (1.0 + np.abs(oracle))
+        assert np.all(exact >= oracle - scale), nl.params
+        # the window endpoints are oracle samples; an interior peak p has
+        # f(p) = 0, so a sample within h of it is lower by at most L h^2 / 2,
+        # L the steepest slope of the table; the other data have no peaks
+        lip = 0.0
+        if nl.kind == "table":
+            fs, knots = nl.params["fs"], nl.params["xs"]
+            lip = float(np.max(np.abs(np.diff(fs) / np.diff(knots))))
+        assert np.all(exact - oracle <= 0.5 * lip * h * h + scale), nl.params
+
+
+def test_table_peaks_are_downward_zeros_of_f():
+    assert potential_peaks(table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0])).tolist() == [1.5]
+    assert potential_peaks(affine_power(4.0)).size == 0
+    assert potential_peaks(power_sum(1.5, 3.0)).size == 0
+    found = 0
+    for nl in _signed_tables():
+        fs = np.asarray(nl.params["fs"])
+        for p in potential_peaks(nl):
+            found += 1
+            assert abs(float(nl.f(np.array([p]))[0])) <= 1e-12 * (1.0 + np.max(np.abs(fs)))
+            assert float(nl.f(np.array([p - 1e-9]))[0]) > 0.0
+    assert found > 20
+
+
+@pytest.mark.parametrize("name", ["table_signed", "affine_power"])
+def test_positional_copy_gives_the_same_report(name):
+    # a copy from the six positional fields keeps kind and params, so it
+    # keeps the peaks the window maximum reads
+    nl = _REPORT_DATA[name]()
+    copy = Nonlinearity(nl.kind, nl.f, nl.F, nl.nonnegative, nl.vanishes_at_zero, dict(nl.params))
+    assert evaluate_conditions(copy, 0.75, 1.0).json_str() == (
+        evaluate_conditions(nl, 0.75, 1.0).json_str()
+    )

@@ -21,6 +21,7 @@ from fracvar.energy import (
     table_datum,
     zero_datum,
 )
+from fracvar.errors import HypothesisError
 from fracvar.problem import ProblemSpec
 from fracvar.solver import (
     SolverConfig,
@@ -338,21 +339,31 @@ def test_random_elements_are_not_near_critical(classical_setup):
         assert float(np.max(np.abs(interior - interior.mean()))) > 1e-2
 
 
-def test_subcritical_linear_datum_minimizes_to_zero():
-    # mu below pi^2 keeps the quadratic energy definite: only u = 0
-    lin = Nonlinearity(
+def _linear_datum():
+    # f = x, a signed datum outside the catalog
+    return Nonlinearity(
         "linear",
         lambda x: np.asarray(x, dtype=float),
         lambda x: np.asarray(x, dtype=float) ** 2 / 2.0,
         False,
         True,
     )
-    spec = ProblemSpec(alpha=1.0, T=1.0, n=512, k_max=32, nonlinearity=lin)
+
+
+def test_subcritical_linear_datum_minimizes_to_zero():
+    # mu below pi^2 keeps the quadratic energy definite: only u = 0
+    spec = ProblemSpec(alpha=1.0, T=1.0, n=512, k_max=32, nonlinearity=_linear_datum())
     sol = minimize(spec, 5.0, gamma_bar=1.0)
     assert sol.norm_alpha == 0.0
     assert sol.energy == 0.0
     assert sol.converged
     assert not sol.nontrivial
+
+
+def test_conditions_reject_signed_datum_outside_catalog():
+    # the peaks of its potential are unknown, so its window maximum is too
+    with pytest.raises(HypothesisError, match="'linear'"):
+        evaluate_conditions(_linear_datum(), 0.75, 1.0)
 
 
 # ------------------------------------------------------------ certificates
