@@ -8,6 +8,13 @@ values; homogeneous tuples become lists; nested reports encode
 themselves.  A decoded report therefore re-encodes to the same
 json_str.  Field metadata adjusts one field: OMIT keeps it out of the
 JSON, custom(encode, decode) replaces the annotation's rule.
+
+json_str is json.dumps(to_jsonable(), sort_keys=True, indent=2) byte
+for byte, written by _dumps: with an indent, json leaves its C encoder
+for a pure-Python one that yields each item and separator on its own.
+_dumps writes a list of finite floats with one float.__repr__ pass and
+one join, and a list of equal-length rows of scalars, such as a
+report's probe trace, through one format string.
 """
 
 from __future__ import annotations
@@ -16,11 +23,11 @@ import dataclasses
 import enum
 import functools
 import itertools
-import json
 import math
 import operator
 import types
 import typing
+from json.encoder import encode_basestring_ascii as _quote
 
 __all__ = ["JsonCodec", "OMIT", "custom"]
 
@@ -111,4 +118,78 @@ class JsonCodec:
         return cls(**{name: dec(d[name]) for name, _, dec in _layout(cls)})
 
     def json_str(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        return _dumps(self.to_jsonable(), 2)
+
+
+def _dumps(value, indent: int) -> str:
+    """json.dumps(value, sort_keys=True, indent=indent), byte for byte.
+
+    Keys must be strings, as in every report; any other key, like any
+    value json cannot write, raises TypeError.
+    """
+    return _encode(value, "\n", " " * indent)
+
+
+def _encode(o, nl: str, step: str) -> str:
+    """o as json writes it with its indent step, nl the line break before o's items."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_str(o)
+    inner = nl + step
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = _scalar_items(o) or _row_text(o, inner, step)
+        items = items or [_encode(v, inner, step) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_quote(k) + ": " + _encode(v, inner, step) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_str(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    return "-Infinity" if x == -_INF else float.__repr__(x)
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+# Float lists are most of every report.  A finite sum, one C-level pass,
+# proves that no item of a float list is infinite or NaN, and
+# float.__repr__ then writes the list in one more pass.
+def _scalar_items(xs) -> list | None:
+    """Each item written, when xs holds only str, int, float, bool or None, else None."""
+    kinds = set(map(type, xs))
+    if kinds == {float} and math.isfinite(sum(xs)):
+        return list(map(float.__repr__, xs))
+    return [_encode(v, "", "") for v in xs] if kinds <= _SCALARS else None
+
+
+def _row_text(rows, nl: str, step: str) -> list | None:
+    """The rows written out as one item, when they are lists of scalars all of
+    one nonzero length, else None.  nl is the line break before each row."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    flat = len(widths) == 1 and _scalar_items(list(itertools.chain.from_iterable(rows)))
+    if not flat:
+        return None
+    inner = nl + step
+    row = "[" + inner + ("," + inner).join(["%s"] * widths.pop()) + nl + "]"
+    return [("," + nl).join([row] * len(rows)) % tuple(flat)]

@@ -141,8 +141,9 @@ def _grid_sup(gammas: np.ndarray, ratios: np.ndarray, g: Callable[[float], float
         return SupRatio(float(ratios[i]), float(gammas[i]), True)
     gbar = _golden_max(g, float(gammas[i - 1]), float(gammas[i + 1]))
     best, arg = float(ratios[i]), float(gammas[i])
-    if g(gbar) > best:
-        best, arg = g(gbar), gbar
+    refined = g(gbar)
+    if refined > best:
+        best, arg = refined, gbar
     return SupRatio(best, arg, False)
 
 
@@ -152,11 +153,14 @@ def _window_max(nl: Nonlinearity) -> Callable[[np.ndarray], np.ndarray]:
     The maximum over [-gamma, gamma] is attained at an endpoint, at 0
     (F(0) = 0), or at an interior local maximum p of F with |p| <= gamma.
     The peak values are read once, as a running max ordered by |p|, so
-    each gamma costs F(+-gamma) and one lookup.  Nonnegative data have no
-    peaks and F is nondecreasing from F(0) = 0, so there it is F(gamma).
+    each gamma costs F(+-gamma) and one lookup.  Two kinds need F(gamma)
+    alone.  Nonnegative data have no peaks and F is nondecreasing from
+    F(0) = 0.  affine_power has no peaks either, and its F(+-gamma) =
+    |gamma|**q / q +- gamma share the power term, so F(gamma) >= F(-gamma)
+    holds after rounding too, and F(gamma) > 0.
     """
     F = nl.F
-    if nl.nonnegative:
+    if nl.nonnegative or nl.kind == "affine_power":
         return lambda gammas: np.asarray(F(gammas), dtype=float)
     peaks = potential_peaks(nl)
     if peaks is None:

@@ -100,6 +100,25 @@ def test_affine_window_uses_both_signs():
     assert sup.value == pytest.approx(g * g / Fw, rel=1e-9)
 
 
+def _F_points(nl) -> int:
+    """Points at which evaluate_conditions evaluates the potential of nl."""
+    seen = []
+
+    def F(x):
+        seen.append(np.size(x))
+        return nl.F(x)
+
+    counted = Nonlinearity(nl.kind, nl.f, F, nl.nonnegative, nl.vanishes_at_zero, dict(nl.params))
+    evaluate_conditions(counted, 0.75, 1.0)
+    return sum(seen)
+
+
+def test_affine_window_reads_F_at_plus_gamma_only():
+    # F(-gamma) never sets the affine window maximum, so an affine report
+    # costs no more potential evaluations than a nonnegative one
+    assert _F_points(affine_power(4.0)) <= _F_points(power_sum(1.5, 3.0))
+
+
 def test_sqrt_plus_sup_hits_probe_boundary():
     # gamma^2/F grows like sqrt(gamma): no finite maximizer, flagged
     sup = sup_ratio(sqrt_plus())

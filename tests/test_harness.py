@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fracvar import codec
 from fracvar.conditions import ConditionReport
 from fracvar.energy import affine_power, from_tag, zero_datum
 from fracvar.errors import HypothesisError
@@ -260,6 +263,7 @@ def test_report_json_layout(problem_small, sweep_small):
         assert list(rep.to_jsonable()) == _REPORT_KEYS[type(rep)]
         assert sorted(doc) == sorted(_REPORT_KEYS[type(rep)])
         assert type(rep).from_jsonable(doc).json_str() == rep.json_str()
+        assert rep.json_str() == json.dumps(rep.to_jsonable(), sort_keys=True, indent=2)
     assert "offenders" not in audit.to_jsonable()
     for r in sweep_small.records:
         for cand in r.to_jsonable()["candidates"]:
@@ -281,6 +285,51 @@ def test_codec_encodes_both_infinities():
     assert doc["fitted_exponent"] is None
     back = RayScanReport.from_jsonable(doc)
     assert back == rep
+
+
+# JSON values with the edge cases of the codec's writer: non-ASCII and
+# control characters, the non-finite floats, -0.0, the least subnormal,
+# a float list whose sum overflows, rows of floats or of any scalars,
+# tuples and empties.
+_TEXT = st.text(max_size=6) | st.sampled_from(["\x00\x1f\n\"\\", "\u00e9\u2028\U0001f600"])
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+_ROWS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(_FLOATS, min_size=k, max_size=k).map(tuple)
+        | st.lists(_SCALARS, min_size=k, max_size=k),
+        max_size=5,
+    )
+)
+_DOCS = st.recursive(
+    _SCALARS | st.lists(_FLOATS) | _ROWS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(doc=_DOCS, indent=st.integers(0, 4))
+@example(doc=[1e308, 1e308], indent=2)
+@example(doc=[[1e308, 1e308], [1.0, 2.0]], indent=2)
+@example(doc=[[1.5, 2**1100], [2**1100]], indent=2)
+@example(doc=[[1.5, 2.5], [3.5], []], indent=2)
+@example(doc=[[1e-06, "inf"], [2.5, "-inf"], [3.5, 0.25]], indent=2)
+@example(doc=[[1.5, 2.5], {"a": 2.5, "": None}], indent=2)
+@example(doc={"a": [], "b": {}, "c": ([], {}, ()), "d": [[], [[]]]}, indent=2)
+@example(doc={"\u00e9": [True, 1.5, 2], "\x1f": (False, None, -0.0)}, indent=2)
+def test_dumps_matches_json(doc, indent):
+    assert codec._dumps(doc, indent) == json.dumps(doc, sort_keys=True, indent=indent)
+
+
+@pytest.mark.parametrize("bad", [object(), [1.5, {2.5}], [[1.5], np.array([1.0])], {1: "a"}])
+def test_dumps_raises_type_error(bad):
+    # json rejects all but the int key, which it writes as "1"; report
+    # keys are field names, so the writer takes string keys only
+    with pytest.raises(TypeError):
+        codec._dumps(bad, 2)
 
 
 def test_emit_rejects_unknown_format(tmp_path, sweep_small):
