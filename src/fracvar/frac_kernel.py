@@ -135,10 +135,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def sample(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
 
 @dataclass(frozen=True)
 class FracOrder:

@@ -246,10 +246,9 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _sweep_csv(report: SweepReport) -> str:
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for r in report.records:
-        lines.append(",".join(_fmt(getattr(r, col)) for col in SWEEP_CSV_COLUMNS))
+def _csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -264,11 +263,19 @@ def _sweep_plot_data(report: SweepReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def _ray_csv(report: RayScanReport) -> str:
-    lines = ["tau,energy"]
-    for t, v in zip(report.taus, report.values):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+def _body(report, format: str) -> str:
+    """The CSV or JSON text of a sweep or ray-scan report."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {format!r}")
+    if isinstance(report, SweepReport):
+        header = SWEEP_CSV_COLUMNS
+        rows = ([getattr(r, col) for col in header] for r in report.records)
+    elif isinstance(report, RayScanReport):
+        header = ("tau", "energy")
+        rows = zip(report.taus, report.values)
+    else:
+        raise ValueError(f"cannot emit report of type {type(report).__name__}")
+    return report.json_str() + "\n" if format == "json" else _csv(header, rows)
 
 
 def emit_report(report, out_path, format: str = "csv") -> list[str]:
@@ -278,23 +285,14 @@ def emit_report(report, out_path, format: str = "csv") -> list[str]:
     {stem}.plot.dat with two datasets for external plotting.  Ray scans
     emit a two-column CSV or the JSON body.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {format!r}")
+    body = _body(report, format)
     out = Path(out_path)
-    written = []
+    out.write_text(body, encoding="utf-8")
+    written = [str(out)]
     if isinstance(report, SweepReport):
-        body = _sweep_csv(report) if format == "csv" else report.json_str() + "\n"
-        out.write_text(body, encoding="utf-8")
-        written.append(str(out))
         plot = out.with_suffix(".plot.dat")
         plot.write_text(_sweep_plot_data(report), encoding="utf-8")
         written.append(str(plot))
-    elif isinstance(report, RayScanReport):
-        body = _ray_csv(report) if format == "csv" else report.json_str() + "\n"
-        out.write_text(body, encoding="utf-8")
-        written.append(str(out))
-    else:
-        raise ValueError(f"cannot emit report of type {type(report).__name__}")
     return written
 
 
@@ -502,10 +500,6 @@ def _cmd_conditions(args) -> int:
     problem = ProblemSpec.load(args.config)
     report = cond.evaluate_conditions(problem.nonlinearity, problem.alpha, problem.T)
     print(report.json_str())
-    print()
-    for name in ("sg_holds", "s0_holds", "sinf_holds", "zero_holds"):
-        print(f"{name:<12} {getattr(report, name).value}")
-    print(f"{'mu_star':<12} {_fmt(report.mu_star)}")
     return 0
 
 
@@ -524,29 +518,24 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    problem = _load_problem(args)
-    report = run_sweep(problem, args.mu_min, args.mu_max, args.count)
+def _emit(report, args) -> int:
     if args.out:
         for p in emit_report(report, args.out, args.format):
             print(f"wrote {p}")
     else:
-        body = _sweep_csv(report) if args.format == "csv" else report.json_str() + "\n"
-        sys.stdout.write(body)
+        sys.stdout.write(_body(report, args.format))
     return 0
+
+
+def _cmd_sweep(args) -> int:
+    problem = _load_problem(args)
+    return _emit(run_sweep(problem, args.mu_min, args.mu_max, args.count), args)
 
 
 def _cmd_ray_scan(args) -> int:
     problem = _load_problem(args)
     taus = np.geomspace(0.1, 1.0e3, args.count)
-    report = ray_scan(problem, args.mu, tau_values=taus)
-    if args.out:
-        for p in emit_report(report, args.out, args.format):
-            print(f"wrote {p}")
-    else:
-        body = _ray_csv(report) if args.format == "csv" else report.json_str() + "\n"
-        sys.stdout.write(body)
-    return 0
+    return _emit(ray_scan(problem, args.mu, tau_values=taus), args)
 
 
 _COMMANDS = {

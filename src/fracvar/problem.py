@@ -97,15 +97,3 @@ class ProblemSpec:
             doc = json.load(fh)
         return cls.from_config(doc)
 
-    def config_jsonable(self) -> dict:
-        """The config document this spec round-trips to."""
-        return {
-            "alpha": self.alpha,
-            "T": self.T,
-            "n": self.n,
-            "k_max": self.k_max,
-            "nonlinearity": {"kind": self.nonlinearity.kind, **self.nonlinearity.params},
-            "solver": {
-                k: getattr(self.solver, k) for k in self.solver.__dataclass_fields__
-            },
-        }

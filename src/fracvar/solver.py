@@ -11,9 +11,10 @@ record into explicit pass/fail certificates.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -60,10 +61,11 @@ class SolverConfig:
     grad_tol: float = 1e-8
     max_iters: int = 5000
     restarts: int = 8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    sublevel_margin: float = 0.99
     seed: int = 0
+    # fixed line-search and sublevel constants, not settings
+    armijo_c: ClassVar[float] = 1e-4
+    backtrack_factor: ClassVar[float] = 0.5
+    sublevel_margin: ClassVar[float] = 0.99
 
     def __post_init__(self) -> None:
         if not self.grad_tol > 0.0:
@@ -72,16 +74,10 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        for name in ("armijo_c", "backtrack_factor", "sublevel_margin"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
         object.__setattr__(self, "seed", int(self.seed))
 
     def replace(self, **kw) -> "SolverConfig":
-        cur = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        cur.update(kw)
-        return SolverConfig(**cur)
+        return dataclasses.replace(self, **kw)
 
 
 def sublevel_radius(gamma_bar: float, alpha, T: float) -> float:

@@ -1,16 +1,17 @@
 """Sine-spectral model of the zero-trace fractional energy space.
 
-Elements are finite combinations of sin(k pi t / T).  The basis, its
-exact derivatives, and the left/right Caputo images of those derivatives
-are computed once per configuration and cached in an immutable model, so
-norm and energy evaluations reduce to dense linear algebra against the
-cached arrays.  Models are safe to share across threads.
+Elements are finite combinations of sin(k pi t / T).  The basis and the
+left/right Caputo images of its exact derivatives are computed once per
+configuration and cached in an immutable model, so norm and energy
+evaluations reduce to dense linear algebra against the cached arrays.
+Models are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,26 +71,20 @@ class SpaceModel:
     Arrays are laid out mode-major: basis[k - 1] holds the nodal samples
     of sin(k pi t / T).  caputo_left_images / caputo_right_images are the
     order-alpha one-sided derivative images of each basis function,
-    produced by the kernel operators from the analytic derivatives.
+    produced by the kernel operators from the analytic derivatives, which
+    the model does not keep.
     """
 
     config: SpaceConfig
     grid: Grid
     basis: np.ndarray
-    basis_deriv: np.ndarray
     caputo_left_images: np.ndarray
     caputo_right_images: np.ndarray
     weights: np.ndarray
     embedding_constant: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "basis",
-            "basis_deriv",
-            "caputo_left_images",
-            "caputo_right_images",
-            "weights",
-        ):
+        for name in ("basis", "caputo_left_images", "caputo_right_images", "weights"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -166,7 +161,6 @@ def build_space(config: SpaceConfig) -> SpaceModel:
         config=config,
         grid=grid,
         basis=basis,
-        basis_deriv=basis_deriv,
         caputo_left_images=np.vstack(left_rows),
         caputo_right_images=np.vstack(right_rows),
         weights=weights,
@@ -188,25 +182,12 @@ def synthesize(u: SpectralElement, model: SpaceModel) -> GridFunction:
     return GridFunction(model.grid, coeffs @ model.basis)
 
 
-class Norms(tuple):
+class Norms(NamedTuple):
     """(norm_alpha, norm_l2, norm_inf) with attribute access."""
 
-    __slots__ = ()
-
-    def __new__(cls, norm_alpha: float, norm_l2: float, norm_inf: float):
-        return super().__new__(cls, (norm_alpha, norm_l2, norm_inf))
-
-    @property
-    def norm_alpha(self) -> float:
-        return self[0]
-
-    @property
-    def norm_l2(self) -> float:
-        return self[1]
-
-    @property
-    def norm_inf(self) -> float:
-        return self[2]
+    norm_alpha: float
+    norm_l2: float
+    norm_inf: float
 
 
 def norms(u: SpectralElement, model: SpaceModel) -> Norms:

@@ -368,10 +368,38 @@ def test_cli_conditions_emits_json(tmp_path, capsys):
     rc = cli_main(["conditions", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert rc == 0
-    # the report document comes first, then a human-readable block
+    # stdout is the report document alone
     doc = json.loads(out[: out.index("\n}") + 2])
     assert doc["mu_star"] == pytest.approx(0.5309120682454849)
     assert doc["sg_holds"] == "fails"
+
+
+def test_cli_conditions_stdout_is_one_json_document(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    assert cli_main(["conditions", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--mu-min", "0.05", "--mu-max", "0.5", "--count", "4"],
+        ["ray-scan", "--mu", "0.25", "--count", "6"],
+    ],
+)
+def test_cli_stdout_equals_emitted_file(tmp_path, capsys, command, fmt):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    args = command + ["--config", str(cfg), "--format", fmt]
+    assert cli_main(args) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / f"report.{fmt}"
+    assert cli_main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert stdout == out.read_text(encoding="utf-8")
 
 
 def test_cli_solve_writes_solution(tmp_path, capsys):
@@ -459,6 +487,17 @@ def test_cli_ray_scan_writes_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "tau"
     assert len(rows) > 2
+
+
+@pytest.mark.parametrize("key", ["armijo_c", "backtrack_factor", "sublevel_margin"])
+def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    doc["solver"] = {key: 0.5}
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["conditions", "--config", str(cfg)]) == 1
+    assert "bad solver settings" in capsys.readouterr().err
 
 
 def test_config_schema_is_closed(tmp_path):

@@ -413,3 +413,21 @@ def test_solver_config_defaults_round_trip():
     assert cfg.grad_tol == 1e-8
     assert cfg.restarts == 8
     assert cfg.seed == 0
+
+
+def test_solver_constants_keep_their_values():
+    # line-search and sublevel constants are class constants, not settings
+    assert SolverConfig.armijo_c == 1e-4
+    assert SolverConfig.backtrack_factor == 0.5
+    assert SolverConfig.sublevel_margin == 0.99
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["grad_tol", "max_iters", "restarts", "seed"]
+
+
+def test_solver_config_replace_keeps_other_fields():
+    base = SolverConfig(grad_tol=1e-9, max_iters=123, restarts=3)
+    cfg = base.replace(seed=3)
+    assert (cfg.grad_tol, cfg.max_iters, cfg.restarts, cfg.seed) == (1e-9, 123, 3, 3)
+    assert SolverConfig().replace(seed=3) == SolverConfig(seed=3)
+    with pytest.raises(ValueError):
+        SolverConfig().replace(max_iters=0)
