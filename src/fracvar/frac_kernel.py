@@ -6,7 +6,12 @@ quadrature is a product-trapezoidal rule: on every panel the weakly
 singular kernel (t - s)**(gamma - 1) is integrated in closed form against
 the piecewise-linear interpolant of the data, so the singularity never
 meets a sampled integrand.  Evaluating an operator at all n + 1 nodes
-costs one length-n convolution (O(n**2) work, no FFT).
+keeps the first n - 1 outputs of one length-(n-1) convolution, no FFT.
+A stack of functions on one grid shares one kernel; a large stack forms
+only those kept outputs, about n**2 / 2 multiply-adds per function, and
+a small one forms the full convolution, about n**2.  Every choice gives
+the bits of a per-row convolution, which the benchmark's references rely
+on; _abel_left says how the loop is chosen and why the bits agree.
 
 The order-alpha Caputo derivative consumes samples of u' rather than u;
 at alpha = 1 both one-sided derivatives reduce exactly to +/- u' and the
@@ -119,16 +124,23 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nodal samples of a real function on a Grid.  Values are immutable."""
+    """Nodal samples of a real function on a Grid.  Values are immutable.
+
+    values has shape (n+1,) for one function, or (rows, n+1) for a stack
+    of functions on the same grid.  The operators below act row by row
+    and give every row of a stack the bits it gets on its own; a stack
+    shares one kernel evaluation and, when large, one BLAS dot call per
+    node across all rows (see _abel_left).
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float).copy()
-        if vals.shape != (self.grid.n + 1,):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.grid.n + 1:
             raise ValueError(
-                f"expected {self.grid.n + 1} samples, got shape {vals.shape}"
+                f"expected {self.grid.n + 1} samples per row, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function samples must be finite")
@@ -191,9 +203,18 @@ def _differentiation_order(order) -> float:
     return FracOrder.derivative(float(order)).value
 
 
-def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
-    """Product-trapezoidal left Abel integral at every node.
+# rows * (n + 1) from which the per-node loop beats per-row np.convolve
+# (measured crossover 3e4 to 6e4, 1 BLAS thread)
+_STACKED_MIN_SAMPLES = 60_000
+# bytes of rows per tile of the per-node loop, so row prefixes stay in L2
+_TILE_BYTES = 1 << 20
 
+
+def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
+    """Product-trapezoidal left Abel integral at every node, row by row.
+
+    values holds one function (shape (n+1,)) or a stack of functions on
+    one grid (shape (rows, n+1)); the result has the same shape.
     out[i] = 1/Gamma(gamma) * integral_0^{t_i} (t_i - s)**(gamma-1) u(s) ds
     with u replaced by its piecewise-linear interpolant.  The panel
     integrals collapse to a boundary weight, a convolution kernel in the
@@ -203,10 +224,30 @@ def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
 
     c_m is a second difference of m**(g+1); it is evaluated through
     expm1/log1p because the plain form cancels ~8 digits at m ~ 1e4.
+    The kernel is computed once per call and shared by every row.
+
+    Cost and loop choice.  Each kept convolution output is one BLAS dot
+    of a row prefix with the tail of the reversed kernel.  A stack of
+    rows * (n + 1) >= _STACKED_MIN_SAMPLES samples takes the per-node
+    loop (_kept_convolution): it forms only the n - 1 kept outputs, the
+    lower triangle, about rows * n**2 / 2 multiply-adds, in one np.vecdot
+    call per node shared by all rows.  Smaller stacks take per-row
+    np.convolve, which also forms the n - 2 discarded outputs (twice the
+    work) but skips the per-node Python call, which costs more there.
+
+    Bit-identity.  np.convolve computes each output with the same dtype
+    dot function (cblas_ddot) on the same operands as np.vecdot, so both
+    loops give the bits the plain per-row convolution gives, whatever the
+    stack size (tests check 1 and 2 BLAS threads).  This is a contract:
+    the benchmark's phi/psi references come from solves that stop short
+    of their minimizer, and a roundoff change in the Caputo images moves
+    them past their 1e-6 tolerance (ROADMAP item 1).  An FFT or GEMM path
+    replaces the per-node loop only together with re-recorded references.
     """
-    n = len(values) - 1
+    stack = np.atleast_2d(values)
+    n = stack.shape[1] - 1
     gp1 = gamma + 1.0
-    out = np.zeros(n + 1)
+    out = np.zeros(stack.shape)
 
     i = np.arange(1, n + 1, dtype=float)
     with np.errstate(divide="ignore"):
@@ -217,13 +258,35 @@ def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
     # w0_i = (i-1)**(g+1) - i**g (i - g - 1), stabilized the same way
     boundary = gp1 * i ** gamma + i ** gp1 * shrink
 
-    acc = values[1:].copy()
-    acc += boundary * values[0]
+    acc = stack[:, 1:] + boundary * stack[:, :1]
     if n >= 2:
-        interior = np.convolve(values[1:n], conv_kernel[: n - 1])[: n - 1]
-        acc[1:] += interior
-    out[1:] = (h ** gamma / euler_gamma(gamma + 2.0)) * acc
-    return out
+        body, kernel = stack[:, 1:n], conv_kernel[: n - 1]
+        if stack.size < _STACKED_MIN_SAMPLES:
+            acc[:, 1:] += [np.convolve(row, kernel)[: n - 1] for row in body]
+        else:
+            acc[:, 1:] += _kept_convolution(body, kernel)
+    out[:, 1:] = (h ** gamma / euler_gamma(gamma + 2.0)) * acc
+    return out.reshape(np.shape(values))
+
+
+def _kept_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """np.convolve(row, kernel)[:m] for every row of body, bit for bit.
+
+    Output k of the full convolution is one dot of row[:k+1] with the
+    last k + 1 entries of the reversed kernel; np.vecdot makes the same
+    dot call on the same operands, so only the kept m outputs are formed.
+    (np.convolve sums kernels of at most 11 points another way; Grid's
+    n >= 16 keeps m >= 15.)
+    """
+    rows, m = body.shape
+    rev = kernel[::-1].copy()
+    tile = max(1, _TILE_BYTES // (8 * m))
+    kept = np.empty((rows, m))
+    for lo in range(0, rows, tile):
+        block, dest = body[lo : lo + tile], kept[lo : lo + tile]
+        for k in range(m):
+            np.vecdot(block[:, : k + 1], rev[m - 1 - k :], out=dest[:, k])
+    return kept
 
 
 def rl_left_integral(u: GridFunction, order) -> GridFunction:
@@ -232,14 +295,16 @@ def rl_left_integral(u: GridFunction, order) -> GridFunction:
     Parameters
     ----------
     u : GridFunction
-        Samples of the integrand.
+        Samples of the integrand, or a stack of integrands on one grid
+        (one per row, each treated as if passed alone).
     order : float or FracOrder
         Integration order gamma > 0.
 
     Returns
     -------
     GridFunction
-        Nodal values of the fractional integral; the value at t = 0 is 0.
+        Nodal values of the fractional integral, shaped like u; the value
+        at t = 0 is 0.
     """
     gamma = _integration_order(order)
     return GridFunction(u.grid, _abel_left(u.values, gamma, u.grid.h))
@@ -252,8 +317,8 @@ def rl_right_integral(u: GridFunction, order) -> GridFunction:
     reversed samples, reversed back.  The value at t = T is 0.
     """
     gamma = _integration_order(order)
-    mirrored = _abel_left(u.values[::-1].copy(), gamma, u.grid.h)
-    return GridFunction(u.grid, mirrored[::-1].copy())
+    mirrored = _abel_left(u.values[..., ::-1].copy(), gamma, u.grid.h)
+    return GridFunction(u.grid, mirrored[..., ::-1].copy())
 
 
 def caputo_left(u_prime: GridFunction, order) -> GridFunction:

@@ -254,7 +254,7 @@ def minimize(
     phi = eval_phi(u, assembly)
     psi = eval_psi(u, nl, assembly)
     energy = phi - mu * psi
-    res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model), model)
+    res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model))
     converged = bool(best["converged"])
     candidates = tuple({key: r_[key] for key in _CANDIDATE_KEYS} for r_ in runs)
     return SolutionRecord(
@@ -301,7 +301,7 @@ def weak_residual_values(
     return left - right + forcing
 
 
-def _residual_from_values(map_vals: np.ndarray, model: SpaceModel) -> float:
+def _residual_from_values(map_vals: np.ndarray) -> float:
     # first/last 3 nodes carry the quadrature's boundary layer
     interior = map_vals[3 : len(map_vals) - 3]
     return float(np.max(np.abs(interior - interior.mean())))
@@ -323,7 +323,7 @@ def weak_residual(
     vals = weak_residual_values(
         np.asarray(sol.coeffs.coeffs), sol.mu, problem.nonlinearity, model
     )
-    return _residual_from_values(vals, model)
+    return _residual_from_values(vals)
 
 
 def residual_tolerance(alpha, n: int, T: float = 1.0) -> float:

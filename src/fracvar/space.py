@@ -131,7 +131,13 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     """Assemble the cached spectral model for one configuration.
 
     Deterministic: equal configs give bitwise-identical models.  Cost is
-    dominated by the k_max Caputo images, O(k_max * n**2) total.
+    dominated by the 2 * k_max Caputo images, built in one stacked call
+    per side.  From k_max * (n + 1) >= 60,000 samples each side computes
+    only the kept triangle of its convolutions, about k_max * n**2 / 2
+    multiply-adds; below that it runs the full per-row convolution,
+    about k_max * n**2.  Every image is bit-identical to a per-row build
+    whichever loop runs, as the benchmark's phi/psi references require
+    (ROADMAP item 1; see frac_kernel._abel_left).
     """
     grid = Grid(config.T, config.n)
     t = grid.nodes
@@ -145,12 +151,9 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     basis_deriv = (k * math.pi / config.T) * np.cos(phase)
 
     order = FracOrder.derivative(config.alpha)
-    left_rows = []
-    right_rows = []
-    for row in basis_deriv:
-        gf = GridFunction(grid, row)
-        left_rows.append(caputo_left(gf, order).values)
-        right_rows.append(caputo_right(gf, order).values)
+    derivs = GridFunction(grid, basis_deriv)
+    left = caputo_left(derivs, order).values
+    right = caputo_right(derivs, order).values
 
     weights = np.full(grid.n + 1, grid.h)
     weights[0] = 0.5 * grid.h
@@ -161,8 +164,8 @@ def build_space(config: SpaceConfig) -> SpaceModel:
         config=config,
         grid=grid,
         basis=basis,
-        caputo_left_images=np.vstack(left_rows),
-        caputo_right_images=np.vstack(right_rows),
+        caputo_left_images=left,
+        caputo_right_images=right,
         weights=weights,
         embedding_constant=c,
     )

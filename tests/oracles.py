@@ -1,15 +1,22 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the package's own numerics: the
-constants come from mpmath at 30 digits, the boundary value oracle is a
-classical banded Newton iteration on the second-order form.
+Everything here but the per-row Abel kernel deliberately avoids the
+package's own numerics: the constants come from mpmath at 30 digits, the
+boundary value oracle is a classical banded Newton iteration on the
+second-order form.  abel_left_ref is the other kind of oracle: the
+kernel's former one-function body, kept verbatim (with the package's own
+gamma), so tests can hold the stacked kernel to it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 from scipy.linalg import solve_banded
+
+from fracvar.frac_kernel import Grid, euler_gamma
 
 mpmath.mp.dps = 30
 
@@ -66,3 +73,54 @@ def fd_newton_bvp(f, lam: float, n: int, tol: float = 1e-12):
             s *= 0.5
         w[1:-1] = wi + s * d
     return t, w
+
+
+def abel_left_ref(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
+    """The per-row product-trapezoidal left Abel integral, as it was."""
+    n = len(values) - 1
+    gp1 = gamma + 1.0
+    out = np.zeros(n + 1)
+
+    i = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        shrink = np.expm1(gp1 * np.log1p(-1.0 / i))  # i**(g+1) term, relative
+        grow = np.expm1(gp1 * np.log1p(1.0 / i))
+    # c_m = (m+1)**(g+1) - 2 m**(g+1) + (m-1)**(g+1), stabilized
+    conv_kernel = i ** gp1 * (grow + shrink)
+    # w0_i = (i-1)**(g+1) - i**g (i - g - 1), stabilized the same way
+    boundary = gp1 * i ** gamma + i ** gp1 * shrink
+
+    acc = values[1:].copy()
+    acc += boundary * values[0]
+    if n >= 2:
+        interior = np.convolve(values[1:n], conv_kernel[: n - 1])[: n - 1]
+        acc[1:] += interior
+    out[1:] = (h ** gamma / euler_gamma(gamma + 2.0)) * acc
+    return out
+
+
+def space_arrays_ref(alpha: float, T: float, n: int, k_max: int) -> dict:
+    """Every array field of a SpaceModel, built the per-row way."""
+    grid = Grid(T, n)
+    t = grid.nodes
+    k = np.arange(1, k_max + 1, dtype=float)[:, None]
+    phase = k * math.pi * t[None, :] / T
+    basis = np.sin(phase)
+    basis[:, 0] = 0.0
+    basis[:, -1] = 0.0
+    basis_deriv = (k * math.pi / T) * np.cos(phase)
+    if alpha == 1.0:
+        left, right = basis_deriv.copy(), -basis_deriv
+    else:
+        g, h = 1.0 - alpha, grid.h
+        left = np.vstack([abel_left_ref(row, g, h) for row in basis_deriv])
+        right = -np.vstack([abel_left_ref(row[::-1].copy(), g, h)[::-1] for row in basis_deriv])
+    weights = np.full(n + 1, grid.h)
+    weights[0] = 0.5 * grid.h
+    weights[-1] = 0.5 * grid.h
+    return {
+        "basis": basis,
+        "caputo_left_images": left,
+        "caputo_right_images": right,
+        "weights": weights,
+    }

@@ -1,0 +1,90 @@
+"""The stacked Abel kernel gives the bits of the per-row kernel.
+
+The benchmark's phi/psi references hold solves that stop short of their
+minimizer, so a roundoff change in a Caputo image moves them past their
+tolerance.  These tests pin the contract that no kernel path changes a
+bit: every SpaceModel array against a per-row oracle build, stacked
+operator calls against row-by-row calls on both sides of the size at
+which the per-node loop takes over, and repeated builds against each
+other.  Rerun them under OPENBLAS_NUM_THREADS=2: n = 16384 puts the dot
+products above OpenBLAS's threaded-ddot cut-off.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from fracvar.frac_kernel import (
+    Grid,
+    GridFunction,
+    caputo_left,
+    caputo_right,
+    rl_left_integral,
+    rl_right_integral,
+)
+from fracvar.space import SpaceConfig, build_space
+
+from oracles import abel_left_ref, space_arrays_ref
+
+MODEL_ARRAYS = ("basis", "caputo_left_images", "caputo_right_images", "weights")
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "n, k_max", [(64, 16), (100, 25), (1024, 64), (3000, 40), (4096, 16), (8192, 16)]
+)
+def test_space_model_matches_per_row_oracle(alpha, n, k_max):
+    model = build_space(SpaceConfig(alpha=alpha, T=1.0, n=n, k_max=k_max))
+    ref = space_arrays_ref(alpha, 1.0, n, k_max)
+    for name in MODEL_ARRAYS:
+        assert np.array_equal(getattr(model, name), ref[name]), name
+
+
+@pytest.mark.parametrize("n, k_max", [(512, 32), (1024, 64)])
+def test_equal_configs_build_bitwise_equal_models(n, k_max):
+    cfg = SpaceConfig(alpha=0.75, T=1.0, n=n, k_max=k_max)
+    first, second = build_space(cfg), build_space(cfg)
+    for name in MODEL_ARRAYS:
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    assert first.embedding_constant == second.embedding_constant
+
+
+@given(
+    rows=st.integers(1, 40),
+    n=st.integers(16, 2048),
+    gamma=st.floats(0.01, 0.45),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=40, n=2048, gamma=0.25, seed=0)  # above the per-node cut
+@example(rows=29, n=2047, gamma=0.4, seed=1)  # just below it
+@example(rows=30, n=2047, gamma=0.4, seed=1)  # just above it
+def test_stacked_operators_equal_row_by_row(rows, n, gamma, seed):
+    grid = Grid(1.0, n)
+    stack = np.random.default_rng(seed).standard_normal((rows, n + 1))
+    u = GridFunction(grid, stack)
+    ops = (
+        (rl_left_integral, gamma),
+        (rl_right_integral, gamma),
+        (caputo_left, 1.0 - gamma),
+        (caputo_right, 1.0 - gamma),
+    )
+    for op, order in ops:
+        got = op(u, order).values
+        assert got.shape == stack.shape
+        for r, row in enumerate(stack):
+            assert np.array_equal(got[r], op(GridFunction(grid, row), order).values), (op, r)
+
+
+def test_stacked_kernel_matches_oracle_above_threaded_dot_cutoff():
+    # 16383-term dots: OpenBLAS splits these over threads when it has them
+    grid = Grid(1.0, 16384)
+    stack = np.random.default_rng(7).standard_normal((4, grid.n + 1))
+    left = rl_left_integral(GridFunction(grid, stack), 0.4).values
+    right = rl_right_integral(GridFunction(grid, stack), 0.4).values
+    for r, row in enumerate(stack):
+        assert np.array_equal(left[r], abel_left_ref(row, 0.4, grid.h)), r
+        mirrored = abel_left_ref(row[::-1].copy(), 0.4, grid.h)[::-1]
+        assert np.array_equal(right[r], mirrored), r
