@@ -84,8 +84,8 @@ class ProblemSpec:
         return cls(
             alpha=float(doc["alpha"]),
             T=float(doc["T"]),
-            n=int(doc["n"]),
-            k_max=int(doc["k_max"]),
+            n=doc["n"],
+            k_max=doc["k_max"],
             nonlinearity=nl,
             solver=solver,
         )

@@ -70,11 +70,14 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.grad_tol > 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        for name in ("max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        object.__setattr__(self, "seed", int(self.seed))
 
     def replace(self, **kw) -> "SolverConfig":
         return dataclasses.replace(self, **kw)

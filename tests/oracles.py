@@ -3,9 +3,11 @@
 Everything here but the per-row Abel kernel deliberately avoids the
 package's own numerics: the constants come from mpmath at 30 digits, the
 boundary value oracle is a classical banded Newton iteration on the
-second-order form.  abel_left_ref is the other kind of oracle: the
-kernel's former one-function body, kept verbatim (with the package's own
-gamma), so tests can hold the stacked kernel to it bit for bit.
+second-order form, and the Phi matrix oracle integrates the Fourier
+transforms of the sine modes.  abel_left_ref is the other kind of
+oracle: the kernel's former one-function body, kept verbatim (with the
+package's own gamma), so tests can hold the stacked kernel to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -124,3 +126,55 @@ def space_arrays_ref(alpha: float, T: float, n: int, k_max: int) -> dict:
         "caputo_right_images": right,
         "weights": weights,
     }
+
+
+def phi_matrix_continuum(alpha: float, T: float, k_max: int) -> np.ndarray:
+    """The continuum Phi matrix of the first k_max sine modes, independent of any grid.
+
+    Extended by zero outside [0, T], an element's Caputo pairing is
+    cos(pi alpha) times the |xi|^(2 alpha) seminorm of its Fourier transform
+    (Ervin and Roop 2006, Lemma 2.4), so
+        M[j, k] = -(cos(pi alpha) / pi) Re int_0^inf xi^(2 alpha) phihat_j conj(phihat_k)
+    with phihat_k = a_k (1 - (-1)^k e^(-i xi T)) / (a_k^2 - xi^2), a_k = k pi / T.
+    Up to a common phase, phihat_k = i^k g_k with the real, pole-free
+    g_k = a_k T sinc((xi T - k pi) / 2 pi) / (a_k + xi), so the real part is
+    cos((j - k) pi / 2) g_j g_k: zero for odd j + k.
+
+    One Gauss-Legendre rule, 48 nodes per pi/T panel (24 are too few at
+    the branch point), covers [0, X = 32 k_max pi / T] for every pair in
+    one product.  Beyond X
+    the even-parity integrand is
+        2 a_j a_k xi^(2 alpha) (1 - (-1)^k cos(xi T)) / ((xi^2 - a_j^2)(xi^2 - a_k^2)),
+    integrated in closed form term by term in powers of 1/xi^2, the cosine
+    part by parts (X T is a multiple of 2 pi).  The xi^(2 alpha) branch
+    point at 0 limits the first panel: entries are good to about 1e-10
+    relative to the largest.
+    """
+    j = np.arange(1, k_max + 1)
+    a = j * math.pi / T
+    panels = 32 * k_max
+    x, wx = np.polynomial.legendre.leggauss(48)
+    h = math.pi / T
+    xi = (h * np.arange(panels)[:, None] + 0.5 * h * (x + 1.0)).ravel()
+    w = np.tile(0.5 * h * wx, panels) * xi ** (2.0 * alpha)
+    g = a[:, None] * T * np.sinc((xi * T - j[:, None] * math.pi) / (2.0 * math.pi))
+    g /= a[:, None] + xi
+    body = ((g * w) @ g.T) * np.cos((j[:, None] - j) * math.pi / 2.0)
+
+    X = panels * h
+    a2j, a2k = a[:, None] ** 2, a**2
+    sign_k = (-1.0) ** j
+    tail = np.zeros((k_max, k_max))
+    for m in range(4):
+        # 1 / ((xi^2 - a_j^2)(xi^2 - a_k^2)) = sum_m e_m xi^(-4 - 2m)
+        e_m = sum(a2j**i * a2k ** (m - i) for i in range(m + 1))
+        p = 2.0 * alpha - 4.0 - 2 * m
+        # int_X^inf xi^q cos(xi T) = -q X^(q-1) / T^2 - q (q-1) / T^2 * (same at q - 2)
+        cos_part, coef, q = 0.0, 1.0, p
+        for _ in range(3):
+            cos_part += coef * (-q * X ** (q - 1.0) / T**2)
+            coef *= -q * (q - 1.0) / T**2
+            q -= 2.0
+        tail += e_m * (-(X ** (p + 1.0)) / (p + 1.0) - sign_k * cos_part)
+    tail *= 2.0 * np.outer(a, a) * ((j[:, None] + j) % 2 == 0)
+    return -math.cos(math.pi * alpha) / math.pi * (body + tail)

@@ -3,10 +3,12 @@ quadratic-form bookkeeping, and the gradient."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from fracvar.energy import (
     table_datum,
     zero_datum,
 )
+from fracvar.errors import ResolutionError
 from fracvar.space import SpaceConfig, SpectralElement, build_space, norms, unit_mode
 
 from probes import decayed_coeffs
@@ -216,6 +219,57 @@ def test_coercivity_slack_closed_form():
     assert coercivity_slack(1.0, 512, 32) == pytest.approx(4.0 * (32 / 512) ** 1.0)
     # refining the grid at fixed k_max shrinks the allowance
     assert coercivity_slack(0.75, 2048, 16) < coercivity_slack(0.75, 512, 16)
+
+
+def _pencil_min(model) -> float:
+    """Smallest eigenvalue of (M_s, |cos(pi alpha)| G), by scipy's generalized eigh."""
+    dl, dr, w = model.caputo_left_images, model.caputo_right_images, model.weights
+    pairing = (dl * w) @ dr.T
+    cos_a = abs(math.cos(math.pi * model.alpha))
+    return scipy.linalg.eigh(
+        -0.5 * (pairing + pairing.T), cos_a * (dl * w) @ dl.T, eigvals_only=True
+    )[0]
+
+
+def test_assembly_rejects_indefinite_phi_near_half():
+    # M_s has negative eigenvalues here, so the discrete Phi is indefinite
+    model = build_space(SpaceConfig(alpha=0.52, T=1.0, n=256, k_max=64))
+    assert _pencil_min(model) < 0.0
+    with pytest.raises(ResolutionError, match="lost coercivity"):
+        build_assembly(model)
+
+
+def test_assembly_rejects_sign_flipped_pairing():
+    model = build_space(SpaceConfig(alpha=0.75, T=1.0, n=256, k_max=16))
+    flipped = dataclasses.replace(model, caputo_right_images=-model.caputo_right_images)
+    with pytest.raises(ResolutionError, match="lost coercivity"):
+        build_assembly(flipped)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_assembly_accepts_tightest_passing_grids(n):
+    # the smallest margins measured: 1.8e-4 at n = 4096, 3.1e-5 at n = 16384
+    model = build_space(SpaceConfig(alpha=0.55, T=1.0, n=n, k_max=16))
+    margin = _pencil_min(model) - (1.0 - coercivity_slack(0.55, n, 16))
+    assert 0.0 < margin < 2e-4
+    build_assembly(model)
+
+
+def test_assembly_check_agrees_with_generalized_eigh():
+    decisions = []
+    for alpha in (0.52, 0.54, 0.55, 0.75):
+        for n, k_max in ((64, 16), (256, 64), (1024, 64)):
+            model = build_space(SpaceConfig(alpha=alpha, T=1.0, n=n, k_max=k_max))
+            expect = _pencil_min(model) < 1.0 - coercivity_slack(alpha, n, k_max) - 1e-12
+            try:
+                build_assembly(model)
+                raised = False
+            except ResolutionError:
+                raised = True
+            assert raised == expect, (alpha, n, k_max)
+            decisions.append(raised)
+    # the grid straddles the threshold
+    assert any(decisions) and not all(decisions)
 
 
 # -------------------------------------------------------------- gradient

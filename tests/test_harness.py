@@ -340,11 +340,11 @@ def test_emit_rejects_unknown_format(tmp_path, sweep_small):
 # ------------------------------------------------------------------- CLI
 
 
-def _write_config(path, n=256, k_max=16):
+def _write_config(path, n=256, k_max=16, alpha=0.75):
     path.write_text(
         json.dumps(
             {
-                "alpha": 0.75,
+                "alpha": alpha,
                 "T": 1.0,
                 "n": n,
                 "k_max": k_max,
@@ -475,6 +475,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "0.5309" in err
 
+    # alpha 0.52 at (256, 64): the discrete Phi is indefinite; mu_star is 0.0073
+    indefinite = tmp_path / "indefinite.json"
+    _write_config(indefinite, n=256, k_max=64, alpha=0.52)
+    assert cli_main(["solve", "--config", str(indefinite), "--mu", "0.003"]) == 1
+    assert "lost coercivity" in capsys.readouterr().err
+
 
 def test_cli_ray_scan_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "p.json"
@@ -498,6 +504,30 @@ def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
     cfg.write_text(json.dumps(doc))
     assert cli_main(["conditions", "--config", str(cfg)]) == 1
     assert "bad solver settings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"n": 512.9}, "n"),
+        ({"n": "512"}, "n"),
+        ({"k_max": 16.0}, "k_max"),
+        ({"solver": {"seed": 1.5}}, "seed"),
+        ({"solver": {"restarts": 2.5}}, "restarts"),
+        ({"solver": {"max_iters": 10.5}}, "max_iters"),
+        ({"solver": {"restarts": True}}, "restarts"),
+    ],
+)
+def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    doc.update(patch)
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["solve", "--config", str(cfg), "--mu", "0.25"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracvar: error:") and field in err
+    assert "Traceback" not in err
 
 
 def test_config_schema_is_closed(tmp_path):
