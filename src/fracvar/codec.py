@@ -6,8 +6,8 @@ class: floats pass through except the two infinities, which JSON cannot
 hold and which become the strings "inf" and "-inf"; enums become their
 values; homogeneous tuples become lists; nested reports encode
 themselves.  A decoded report therefore re-encodes to the same
-json_str.  Field metadata adjusts one field: OMIT keeps it out of the
-JSON, custom(encode, decode) replaces the annotation's rule.
+json_str.  Field metadata custom(encode, decode) replaces the
+annotation's rule for one field.
 
 json_str is json.dumps(to_jsonable(), sort_keys=True, indent=2) byte
 for byte, written by _dumps: with an indent, json leaves its C encoder
@@ -29,10 +29,9 @@ import types
 import typing
 from json.encoder import encode_basestring_ascii as _quote
 
-__all__ = ["JsonCodec", "OMIT", "custom"]
+__all__ = ["JsonCodec", "custom"]
 
 _KEY = "fracvar.codec"
-OMIT = {_KEY: None}
 _INF = math.inf
 _INF_NAMES = {"inf": _INF, "-inf": -_INF}
 
@@ -101,10 +100,10 @@ def _coder(tp) -> tuple:
 
 @functools.cache
 def _layout(cls) -> tuple:
-    """(name, encode, decode) for each field the JSON carries."""
+    """(name, encode, decode) for each field."""
     hints = typing.get_type_hints(cls)
-    carried = [f for f in dataclasses.fields(cls) if f.metadata.get(_KEY, ()) is not None]
-    return tuple((f.name, *(f.metadata.get(_KEY) or _coder(hints[f.name]))) for f in carried)
+    fields = dataclasses.fields(cls)
+    return tuple((f.name, *(f.metadata.get(_KEY) or _coder(hints[f.name]))) for f in fields)
 
 
 class JsonCodec:

@@ -241,7 +241,8 @@ def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
     stack size (tests check 1 and 2 BLAS threads).  This is a contract:
     the benchmark's phi/psi references come from solves that stop short
     of their minimizer, and a roundoff change in the Caputo images moves
-    them past their 1e-6 tolerance (ROADMAP item 1).  An FFT or GEMM path
+    them past their 1e-6 tolerance (ROADMAP items 2-3; the
+    perfbench/reference.json FOUND in CHANGES.md).  An FFT or GEMM path
     replaces the per-node loop only together with re-recorded references.
     """
     stack = np.atleast_2d(values)

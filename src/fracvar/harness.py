@@ -476,14 +476,13 @@ def _build_parser() -> _Parser:
     ry.add_argument("--count", type=int, default=25)
     ry.add_argument("--out", default=None)
     ry.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_seed(ry)
 
     return parser
 
 
 def _load_problem(args) -> ProblemSpec:
     problem = ProblemSpec.load(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         problem = dataclasses.replace(
             problem, solver=problem.solver.replace(seed=args.seed)
         )
@@ -533,7 +532,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ray_scan(args) -> int:
-    problem = _load_problem(args)
+    problem = ProblemSpec.load(args.config)
     taus = np.geomspace(0.1, 1.0e3, args.count)
     return _emit(ray_scan(problem, args.mu, tau_values=taus), args)
 

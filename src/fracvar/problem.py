@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .energy import EnergyAssembly, Nonlinearity, build_assembly, from_tag
-from .solver import SolverConfig
+from .solver import SolverConfig, _is_real
 from .space import SpaceConfig, SpaceModel, build_space
 
 __all__ = ["ProblemSpec"]
@@ -81,6 +81,9 @@ class ProblemSpec:
         except TypeError as exc:
             raise ValueError(f"bad solver settings: {exc}") from None
 
+        for key in ("alpha", "T"):
+            if not _is_real(doc[key]):
+                raise ValueError(f"{key} must be a real number, got {doc[key]!r}")
         return cls(
             alpha=float(doc["alpha"]),
             T=float(doc["T"]),

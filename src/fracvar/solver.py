@@ -56,6 +56,11 @@ _TIE_TOL = 1e-10
 _CANDIDATE_KEYS = ("energy", "norm_alpha", "grad_norm", "iters", "converged", "stop", "backtracks")
 
 
+def _is_real(value) -> bool:
+    """True for an int or float that is not a bool: what a JSON number decodes to."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-8
@@ -68,8 +73,8 @@ class SolverConfig:
     sublevel_margin: ClassVar[float] = 0.99
 
     def __post_init__(self) -> None:
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not (_is_real(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol must be a positive real number, got {self.grad_tol!r}")
         for name in ("max_iters", "restarts", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

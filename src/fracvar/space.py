@@ -10,12 +10,12 @@ Models are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .codec import OMIT, JsonCodec
+from .codec import JsonCodec
 from .frac_kernel import (
     FracOrder,
     Grid,
@@ -137,7 +137,8 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     multiply-adds; below that it runs the full per-row convolution,
     about k_max * n**2.  Every image is bit-identical to a per-row build
     whichever loop runs, as the benchmark's phi/psi references require
-    (ROADMAP item 1; see frac_kernel._abel_left).
+    (ROADMAP items 2-3 and the perfbench/reference.json FOUND in
+    CHANGES.md; see frac_kernel._abel_left).
     """
     grid = Grid(config.T, config.n)
     t = grid.nodes
@@ -210,85 +211,53 @@ def norms(u: SpectralElement, model: SpaceModel) -> Norms:
     return Norms(norm_alpha, norm_l2, norm_inf)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport(JsonCodec):
-    """Outcome of a randomized embedding audit.
+    """Exact worst cases of the norm inequalities over every element.
 
-    violations_* count trials where an inequality failed beyond the
-    audit tolerance 1e-8 * (1 + norm_alpha**2); tightest_ratio_* record
-    how close the sharpest trial came to each bound (1.0 means touching).
-    Offending coefficient vectors are kept on the report but stay out of
-    the JSON payload.
+    tightest_ratio_a/b/c are the largest values, over all coefficient
+    vectors, of each left side over its bound in audit_embeddings; a
+    ratio of at most 1 + 1e-12 means that inequality holds for every
+    element of the model.  coercivity_ratio is the smallest value of
+    Phi(u) / (|cos(pi alpha)| norm_alpha**2), the margin build_assembly
+    checks against 1 - coercivity_slack.
     """
 
-    violations_a: int
-    violations_b: int
-    violations_c: int
     tightest_ratio_a: float
     tightest_ratio_b: float
-    seed: int
-    offenders: list = field(default_factory=list, repr=False, metadata=OMIT)
+    tightest_ratio_c: float
+    coercivity_ratio: float
 
 
-def audit_embeddings(
-    model: SpaceModel,
-    trials: int,
-    seed: int = 0,
-    scales: tuple = (0.1, 1.0, 10.0),
-) -> AuditReport:
-    """Randomized check of the three norm inequalities the theory rests on.
+def audit_embeddings(model: SpaceModel) -> AuditReport:
+    """Exact check of the three norm inequalities the theory rests on:
 
-    For each trial element u (random coefficients rescaled so norm_alpha
-    cycles through `scales`):
+      (a)  norm_l2  <= T**alpha / Gamma(alpha + 1) * norm_alpha
+      (b)  norm_inf <= embedding_constant * norm_alpha
+      (c)  Phi(u) <= norm_alpha**2 / |cos(pi alpha)|
 
-      (a)  norm_l2  <= T**alpha / Gamma(alpha + 1) * norm_alpha + tol
-      (b)  norm_inf <= embedding_constant * norm_alpha + tol
-      (c)  Phi(u) <= norm_alpha**2 / |cos(pi alpha)| + tol
-
-    Coefficients decay like k^-3: the inequalities are continuum facts,
-    and for smooth elements their order-one margins dominate quadrature
-    error, which a flat spectrum would instead surface.  Phi is evaluated
-    through the energy module on an assembly built for this model, and
-    build_assembly has already checked the lower bound of (c),
-    |cos(pi alpha)| norm_alpha**2 <= Phi(u) up to coercivity_slack, for
-    every element at once.  Violations are reported, never raised.
+    norm_alpha**2 is the Gram form x' G x, so with L the Cholesky factor
+    of G each worst case is a generalized eigenvalue or a dual norm: (a)
+    is sqrt(lambda_max(B W B', G)), (b) the largest ||L^-1 b_i|| over the
+    basis columns b_i at the nodes, (c) lambda_max(M_s, G).  The model
+    must pass build_assembly's coercivity check, or ResolutionError is
+    raised.
     """
     # deferred: energy imports space
-    from .energy import build_assembly, eval_phi
+    from .energy import _pencil_eigvalsh, build_assembly
 
-    if trials < 1:
-        raise ValueError("audit needs at least one trial")
     asm = build_assembly(model)
     cfg = model.config
     l2_const = cfg.T ** cfg.alpha / euler_gamma(cfg.alpha + 1.0)
     cos_a = abs(math.cos(math.pi * cfg.alpha))
-
-    rng = np.random.default_rng(seed)
-    report = AuditReport(0, 0, 0, 0.0, 0.0, seed)
-    decay = np.arange(1.0, model.k_max + 1.0) ** -3
-    for trial in range(trials):
-        raw = rng.standard_normal(model.k_max) * decay
-        probe = SpectralElement(raw)
-        base = norms(probe, model).norm_alpha
-        target = scales[trial % len(scales)]
-        u = SpectralElement(raw * (target / base))
-        na, nl2, ninf = norms(u, model)
-        tol = 1e-8 * (1.0 + na * na)
-        phi = eval_phi(u, asm)
-
-        ok_a = nl2 <= l2_const * na + tol
-        ok_b = ninf <= model.embedding_constant * na + tol
-        ok_c = phi <= na * na / cos_a + tol
-        if not ok_a:
-            report.violations_a += 1
-        if not ok_b:
-            report.violations_b += 1
-        if not ok_c:
-            report.violations_c += 1
-        if not (ok_a and ok_b and ok_c):
-            report.offenders.append(u.coeffs.copy())
-        report.tightest_ratio_a = max(report.tightest_ratio_a, nl2 / (l2_const * na))
-        report.tightest_ratio_b = max(
-            report.tightest_ratio_b, ninf / (model.embedding_constant * na)
-        )
-    return report
+    L = np.linalg.cholesky(asm.gram)
+    B = model.basis
+    l2 = _pencil_eigvalsh(L, (B * model.weights) @ B.T)[-1]
+    sup = np.max(np.sum(np.linalg.solve(L, B) ** 2, axis=0))
+    phi = _pencil_eigvalsh(L, asm.symmetric)
+    return AuditReport(
+        tightest_ratio_a=math.sqrt(l2) / l2_const,
+        tightest_ratio_b=math.sqrt(sup) / model.embedding_constant,
+        tightest_ratio_c=float(cos_a * phi[-1]),
+        coercivity_ratio=float(phi[0] / cos_a),
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,9 +235,17 @@ def _pencil_min(model) -> float:
 def test_assembly_rejects_indefinite_phi_near_half():
     # M_s has negative eigenvalues here, so the discrete Phi is indefinite
     model = build_space(SpaceConfig(alpha=0.52, T=1.0, n=256, k_max=64))
-    assert _pencil_min(model) < 0.0
-    with pytest.raises(ResolutionError, match="lost coercivity"):
+    worst = _pencil_min(model)
+    assert worst < 0.0
+    with pytest.raises(ResolutionError, match="lost coercivity") as exc:
         build_assembly(model)
+    # the message gives the measured error constant against the slack's 4, not
+    # advice to refine: both shrink like (k_max/n)^(2-alpha)
+    msg = str(exc.value)
+    assert "refine" not in msg
+    found = re.search(r"\(1 - min\) / \(k_max/n\)\^\(2-alpha\) = (\S+) exceeds the slack's 4,", msg)
+    assert found, msg
+    assert float(found.group(1)) == pytest.approx((1.0 - worst) / (64 / 256) ** 1.48, rel=1e-2)
 
 
 def test_assembly_rejects_sign_flipped_pairing():

@@ -239,16 +239,13 @@ _REPORT_KEYS = {
         "taus", "values", "fitted_exponent", "expected_exponent", "tail_negative",
         "unbounded_verdict",
     ],
-    AuditReport: [
-        "violations_a", "violations_b", "violations_c", "tightest_ratio_a",
-        "tightest_ratio_b", "seed",
-    ],
+    AuditReport: ["tightest_ratio_a", "tightest_ratio_b", "tightest_ratio_c", "coercivity_ratio"],
 }
 
 
 def test_report_json_layout(problem_small, sweep_small):
     rec = sweep_small.records[0]
-    audit = AuditReport(0, 1, 0, 0.5, 0.25, seed=3, offenders=[np.ones(4)])
+    audit = AuditReport(0.5, 0.25, 1.0, 0.998)
     reports = [
         sweep_small,
         rec,
@@ -264,7 +261,6 @@ def test_report_json_layout(problem_small, sweep_small):
         assert sorted(doc) == sorted(_REPORT_KEYS[type(rep)])
         assert type(rep).from_jsonable(doc).json_str() == rep.json_str()
         assert rep.json_str() == json.dumps(rep.to_jsonable(), sort_keys=True, indent=2)
-    assert "offenders" not in audit.to_jsonable()
     for r in sweep_small.records:
         for cand in r.to_jsonable()["candidates"]:
             assert tuple(cand) == _CANDIDATE_KEYS
@@ -495,6 +491,14 @@ def test_cli_ray_scan_writes_csv(tmp_path, capsys):
     assert len(rows) > 2
 
 
+def test_cli_ray_scan_takes_no_seed(tmp_path, capsys):
+    # ray_scan runs no solver, so a seed would change nothing
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    assert cli_main(["ray-scan", "--config", str(cfg), "--mu", "0.25", "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["armijo_c", "backtrack_factor", "sublevel_margin"])
 def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
     cfg = tmp_path / "p.json"
@@ -516,6 +520,12 @@ def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
         ({"solver": {"restarts": 2.5}}, "restarts"),
         ({"solver": {"max_iters": 10.5}}, "max_iters"),
         ({"solver": {"restarts": True}}, "restarts"),
+        ({"alpha": "0.75"}, "alpha"),
+        ({"alpha": True}, "alpha"),
+        ({"T": True}, "T"),
+        ({"T": "1.0"}, "T"),
+        ({"solver": {"grad_tol": True}}, "grad_tol"),
+        ({"solver": {"grad_tol": "1e-8"}}, "grad_tol"),
     ],
 )
 def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):

@@ -1,16 +1,18 @@
-"""Discrete space: norms, the embedding constant, and the randomized
+"""Discrete space: norms, the embedding constant, and the exact
 inequality audit."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracvar.energy import build_assembly, eval_phi
+from fracvar.frac_kernel import euler_gamma
 from fracvar.space import (
     SpaceConfig,
     SpectralElement,
@@ -111,23 +113,72 @@ def test_sup_norm_controlled_by_alpha_norm(model_mid):
 # ----------------------------------------------------------------- audit
 
 
+def _audit_by_scipy(model):
+    """The audit's four numbers from scipy's generalized eigh and a dense solve."""
+    cfg = model.config
+    dl, dr, w, B = model.caputo_left_images, model.caputo_right_images, model.weights, model.basis
+    gram = (dl * w) @ dl.T
+    pairing = (dl * w) @ dr.T
+    phi = scipy.linalg.eigh(-0.5 * (pairing + pairing.T), gram, eigvals_only=True)
+    l2 = scipy.linalg.eigh((B * w) @ B.T, gram, eigvals_only=True)[-1]
+    sup = np.max(np.sum(B * scipy.linalg.solve(gram, B, assume_a="pos"), axis=0))
+    cos_a = abs(math.cos(math.pi * cfg.alpha))
+    return (
+        math.sqrt(l2) * euler_gamma(cfg.alpha + 1.0) / cfg.T**cfg.alpha,
+        math.sqrt(sup) / embedding_constant(cfg.alpha, cfg.T),
+        cos_a * phi[-1],
+        phi[0] / cos_a,
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, T, n, k_max",
+    [(0.6, 1.0, 256, 16), (0.75, 1.0, 1024, 64), (0.9, 2.0, 512, 32), (1.0, 0.5, 256, 64)],
+)
+def test_audit_agrees_with_generalized_eigh(alpha, T, n, k_max):
+    model = build_space(SpaceConfig(alpha=alpha, T=T, n=n, k_max=k_max))
+    rep = audit_embeddings(model)
+    got = (rep.tightest_ratio_a, rep.tightest_ratio_b, rep.tightest_ratio_c, rep.coercivity_ratio)
+    assert got == pytest.approx(_audit_by_scipy(model), rel=1e-10)
+    assert max(got[:3]) <= 1.0 + 1e-12
+
+
 def test_audit_clean_at_mid_resolution():
+    # the exact ratios bound every sampled element, and each clause holds with room
     model = build_space(SpaceConfig(alpha=0.75, T=1.0, n=2048, k_max=16))
-    rep = audit_embeddings(model, trials=200, seed=0)
-    assert rep.violations_a == 0
-    assert rep.violations_b == 0
-    assert rep.violations_c == 0
-    assert 0.0 < rep.tightest_ratio_a < 1.0
-    assert 0.0 < rep.tightest_ratio_b < 1.0
-    assert rep.offenders == []
+    rep = audit_embeddings(model)
+    asm = build_assembly(model)
+    l2_const = 1.0 / euler_gamma(1.75)
+    c = model.embedding_constant
+    cos_a = abs(math.cos(math.pi * 0.75))
+    rng = np.random.default_rng(5)
+    worst = [0.0, 0.0, 0.0]
+    least = math.inf
+    for trial in range(200):
+        # flat to steeply decaying spectra: flat ones come closest to the bounds
+        u = SpectralElement(decayed_coeffs(rng, 16, power=float(trial % 4)))
+        na, nl2, ninf = norms(u, model)
+        phi = eval_phi(u, asm)
+        worst = np.maximum(worst, [nl2 / (l2_const * na), ninf / (c * na), cos_a * phi / na**2])
+        least = min(least, phi / (cos_a * na * na))
+    exact = np.array([rep.tightest_ratio_a, rep.tightest_ratio_b, rep.tightest_ratio_c])
+    assert np.all(worst <= exact * (1.0 + 1e-12))
+    assert least >= rep.coercivity_ratio * (1.0 - 1e-12)
+    assert np.all(exact < 1.0) and 0.0 < rep.coercivity_ratio <= 1.0
 
 
-def test_audit_is_seed_deterministic():
-    model = build_space(SpaceConfig(alpha=0.75, T=1.0, n=1024, k_max=16))
-    r1 = audit_embeddings(model, trials=50, seed=3)
-    r2 = audit_embeddings(model, trials=50, seed=3)
-    assert r1.json_str() == r2.json_str()
-    assert json.loads(r1.json_str())["seed"] == 3
+@pytest.mark.parametrize("T", [1.0, 2.0])
+def test_audit_closed_forms_at_alpha_one(T):
+    # at alpha = 1: ||u|| <= (T/pi) ||u'|| is sharp on sin(pi t/T); Phi(u) = ||u'||^2;
+    # ||u||_inf <= sqrt(T)/2 ||u'||, sharp only in the limit of infinitely many modes
+    b = []
+    for n, k_max in ((256, 16), (1024, 64)):
+        rep = audit_embeddings(build_space(SpaceConfig(alpha=1.0, T=T, n=n, k_max=k_max)))
+        assert abs(math.pi * rep.tightest_ratio_a - 1.0) <= 1e-12
+        assert abs(rep.tightest_ratio_c - 1.0) <= 1e-12
+        assert abs(rep.coercivity_ratio - 1.0) <= 1e-12
+        b.append(rep.tightest_ratio_b)
+    assert 0.49 < b[0] < b[1] < 0.5
 
 
 def test_spectral_element_validation():
