@@ -68,12 +68,21 @@ class TriState(str, enum.Enum):
 
 
 def kappa_alpha(alpha, T: float) -> float:
-    """T^(2 alpha) / (Gamma(alpha)^2 |cos(pi alpha)| (2 alpha - 1))."""
+    """T^(2 alpha) / (Gamma(alpha)^2 |cos(pi alpha)| (2 alpha - 1)), finite and positive.
+
+    A T that overflows it (1e300) or underflows it to 0 (1e-300) raises ValueError.
+    """
     a = FracOrder.derivative(alpha).value
     if not T > 0.0:
         raise ValueError(f"interval length must be positive, got T={T}")
     g = euler_gamma(a)
-    return T ** (2.0 * a) / (g * g * abs(math.cos(math.pi * a)) * (2.0 * a - 1.0))
+    try:
+        kappa = T ** (2.0 * a) / (g * g * abs(math.cos(math.pi * a)) * (2.0 * a - 1.0))
+    except OverflowError:
+        kappa = math.inf
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa_alpha at alpha={a}, T={T} is {kappa!r}; rescale T")
+    return kappa
 
 
 @dataclass(frozen=True)

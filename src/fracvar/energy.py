@@ -3,9 +3,9 @@
 Phi is the quadratic form built from minus the weighted pairing of left
 and right Caputo images, Psi integrates a nonlinearity's potential along
 the synthesized element, and J(mu) = Phi - mu * Psi is the functional the
-solver descends.  The bilinear matrix is cached with its symmetrization
-and the Gram matrix of the left images; an exact lower-bound check at
-assembly time guards against under-resolved discretizations.
+solver descends.  The symmetrized pairing matrix is cached with the Gram
+matrix of the left images; an exact lower-bound check at assembly time
+guards against under-resolved discretizations.
 """
 
 from __future__ import annotations
@@ -180,14 +180,14 @@ def _piecewise_quadratic_potential(xs: np.ndarray, fs: np.ndarray):
     return F
 
 
-def table_datum(xs, fs, nonnegative: bool | None = None) -> Nonlinearity:
+def table_datum(xs, fs) -> Nonlinearity:
     """Nonlinearity from sample pairs, linearly interpolated.
 
     Outside the knot range f continues with its edge values.  The
     potential is the exact antiderivative of the interpolant, so probes
     of F near 0 see the interpolant's behavior, not integration noise;
-    data vanishing at 0 should carry an explicit knot there.  Flags
-    default to what the samples show.
+    data vanishing at 0 should carry an explicit knot there.  Both flags
+    are read from the samples (every fs >= 0; |f(0)| <= 1e-10).
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -200,14 +200,12 @@ def table_datum(xs, fs, nonnegative: bool | None = None) -> Nonlinearity:
         return np.interp(np.asarray(x, dtype=float), xs, fs)
 
     F = _piecewise_quadratic_potential(xs, fs)
-    if nonnegative is None:
-        nonnegative = bool(np.all(fs >= 0.0))
     f0 = float(np.interp(0.0, xs, fs))
     return Nonlinearity(
         "table",
         f,
         F,
-        nonnegative,
+        bool(np.all(fs >= 0.0)),
         abs(f0) <= 1e-10,
         {"xs": xs.tolist(), "fs": fs.tolist()},
     )
@@ -257,31 +255,30 @@ def potential_peaks(nl: Nonlinearity) -> np.ndarray | None:
 class EnergyAssembly:
     """Cached matrices of the energy form over one space model.
 
-    bilinear[j][k] = -sum_i w_i DL_j(t_i) DR_k(t_i); symmetric is its
-    symmetrization, gram the same pairing of DL with itself.  Phi of an
-    element is the symmetric quadratic form of its coefficients.
+    symmetric is M_s = (M + M') / 2 for the pairing M[j][k] =
+    -sum_i w_i DL_j(t_i) DR_k(t_i), gram the same pairing of DL with
+    itself.  Phi of an element is the M_s quadratic form of its coefficients.
     """
 
     space: SpaceModel
-    bilinear: np.ndarray
     symmetric: np.ndarray
     gram: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("bilinear", "symmetric", "gram"):
+        for name in ("symmetric", "gram"):
             getattr(self, name).setflags(write=False)
 
     def objective(self, mu: float, nl: Nonlinearity):
         """J_mu = Phi - mu Psi and its gradient, as (energy, gradient).
 
         energy(c, phi=None) returns (J, synthesis), reusing Phi of c when
-        given; gradient(c, synthesis) returns (M + M') c - mu B (w f(u)),
-        the exact derivative of the discrete energy.
+        given; gradient(c, synthesis) returns (M_s + M_s) c - mu B (w f(u)),
+        the exact derivative of the discrete energy (M_s + M_s is M + M').
         """
         B = self.space.basis
         w = self.space.weights
         Ms = self.symmetric
-        M_sum = self.bilinear + self.bilinear.T
+        M_sum = Ms + Ms
         F, f = nl.F, nl.f
 
         def energy(c: np.ndarray, phi: float | None = None):
@@ -345,7 +342,7 @@ def build_assembly(model: SpaceModel) -> EnergyAssembly:
             f"exceeds the slack's {_SLACK_COEFF:g}, and both sides shrink at the same rate, "
             "so a finer grid does not pass to leading order"
         )
-    return EnergyAssembly(model, bilinear, symmetric, gram)
+    return EnergyAssembly(model, symmetric, gram)
 
 
 def _pencil_eigvalsh(L: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ record into explicit pass/fail certificates.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
@@ -83,9 +82,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-
-    def replace(self, **kw) -> "SolverConfig":
-        return dataclasses.replace(self, **kw)
 
 
 def sublevel_radius(gamma_bar: float, alpha, T: float) -> float:
@@ -198,7 +194,6 @@ def _descend(
 def minimize(
     problem: "ProblemSpec",
     mu: float,
-    cfg: SolverConfig | None = None,
     *,
     model: SpaceModel | None = None,
     assembly: EnergyAssembly | None = None,
@@ -217,8 +212,7 @@ def minimize(
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    if cfg is None:
-        cfg = problem.solver
+    cfg = problem.solver
     if model is None or assembly is None:
         model, assembly = problem.build()
     nl = problem.nonlinearity

@@ -81,7 +81,6 @@ class SpaceModel:
     caputo_left_images: np.ndarray
     caputo_right_images: np.ndarray
     weights: np.ndarray
-    embedding_constant: float
 
     def __post_init__(self) -> None:
         for name in ("basis", "caputo_left_images", "caputo_right_images", "weights"):
@@ -160,7 +159,6 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     weights[0] = 0.5 * grid.h
     weights[-1] = 0.5 * grid.h
 
-    c = embedding_constant(config.alpha, config.T)
     return SpaceModel(
         config=config,
         grid=grid,
@@ -168,7 +166,6 @@ def build_space(config: SpaceConfig) -> SpaceModel:
         caputo_left_images=left,
         caputo_right_images=right,
         weights=weights,
-        embedding_constant=c,
     )
 
 
@@ -233,7 +230,7 @@ def audit_embeddings(model: SpaceModel) -> AuditReport:
     """Exact check of the three norm inequalities the theory rests on:
 
       (a)  norm_l2  <= T**alpha / Gamma(alpha + 1) * norm_alpha
-      (b)  norm_inf <= embedding_constant * norm_alpha
+      (b)  norm_inf <= embedding_constant(alpha, T) * norm_alpha
       (c)  Phi(u) <= norm_alpha**2 / |cos(pi alpha)|
 
     norm_alpha**2 is the Gram form x' G x, so with L the Cholesky factor
@@ -257,7 +254,7 @@ def audit_embeddings(model: SpaceModel) -> AuditReport:
     phi = _pencil_eigvalsh(L, asm.symmetric)
     return AuditReport(
         tightest_ratio_a=math.sqrt(l2) / l2_const,
-        tightest_ratio_b=math.sqrt(sup) / model.embedding_constant,
+        tightest_ratio_b=math.sqrt(sup) / embedding_constant(cfg.alpha, cfg.T),
         tightest_ratio_c=float(cos_a * phi[-1]),
         coercivity_ratio=float(phi[0] / cos_a),
     )

@@ -116,11 +116,9 @@ def test_table_tails_extend_linearly():
 def test_table_nonnegativity_inference():
     assert table_datum([0.0, 1.0], [1.0, 2.0]).nonnegative is True
     assert table_datum([-2.0, 0.0, 2.0], [-4.0, 0.0, 4.0]).nonnegative is False
-    # a false f >= 0 claim is caught by the construction-time probe
-    with pytest.raises(ValueError, match="claims f >= 0"):
-        table_datum([-2.0, 0.0, 2.0], [-4.0, 0.0, 4.0], nonnegative=True)
-    # downgrading a nonnegative table claims nothing and is allowed
-    assert table_datum([0.0, 1.0], [1.0, 2.0], nonnegative=False).nonnegative is False
+    # both flags are read from the samples; there is no override
+    with pytest.raises(TypeError):
+        table_datum([0.0, 1.0], [1.0, 2.0], nonnegative=False)
 
 
 def test_table_derivative_matches_data():
@@ -154,8 +152,25 @@ def test_phi_matches_both_matrix_routes(model_mid, assembly_mid):
         c = decayed_coeffs(rng, 32, amp=float(rng.uniform(0.1, 3.0)))
         u = SpectralElement(c)
         phi = eval_phi(u, assembly_mid)
-        assert phi == pytest.approx(float(c @ assembly_mid.bilinear @ c), rel=1e-10, abs=1e-14)
+        assert phi == pytest.approx(float(c @ _pairing(model_mid) @ c), rel=1e-10, abs=1e-14)
         assert phi == pytest.approx(float(c @ assembly_mid.symmetric @ c), rel=1e-10, abs=1e-14)
+
+
+def _pairing(model):
+    """M[j][k] = -sum_i w_i DL_j(t_i) DR_k(t_i), formed as build_assembly forms it."""
+    dl, dr, w = model.caputo_left_images, model.caputo_right_images, model.weights
+    return -np.einsum("ji,i,ki->jk", dl, w, dr)
+
+
+def test_gradient_matrix_is_pairing_plus_transpose(model_mid, assembly_mid):
+    # the gradient's matrix M_s + M_s equals M + M' bit for bit: halving is exact
+    M = _pairing(model_mid)
+    assert np.array_equal(assembly_mid.symmetric, 0.5 * (M + M.T))
+    _, gradient = assembly_mid.objective(0.0, zero_datum())
+    basis = np.eye(32)
+    cols = np.array([gradient(e, e @ model_mid.basis) for e in basis]).T
+    assert np.array_equal(cols, M + M.T)
+    assert [f.name for f in dataclasses.fields(assembly_mid)] == ["space", "symmetric", "gram"]
 
 
 def test_gram_diagonal_is_mode_norms(model_mid, assembly_mid):

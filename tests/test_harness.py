@@ -4,6 +4,7 @@ scans, report emission, and the command line."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,7 @@ from fracvar.harness import (
     run_sweep,
 )
 from fracvar.problem import ProblemSpec
-from fracvar.solver import _CANDIDATE_KEYS, CertificateSet, SolutionRecord, certify
+from fracvar.solver import _CANDIDATE_KEYS, CertificateSet, SolutionRecord, certify, minimize
 from fracvar.space import AuditReport
 
 
@@ -114,6 +115,21 @@ def test_sweep_energies_certify_distinctness(sweep_small):
     assert len(set(energies)) == len(energies)
 
 
+def test_sweep_records_are_minimize_on_reseeded_problems(problem_small, sweep_small):
+    # run_sweep varies only the seed, by a fixed stride, through problem.solver
+    model, assembly = problem_small.build()
+    for i, (mu, rec) in enumerate(zip(sweep_small.mu_values, sweep_small.records)):
+        seed = problem_small.solver.seed + 7919 * i
+        point = dataclasses.replace(
+            problem_small, solver=dataclasses.replace(problem_small.solver, seed=seed)
+        )
+        alone = minimize(
+            point, mu, model=model, assembly=assembly, gamma_bar=sweep_small.conditions.gamma_bar
+        )
+        assert alone.json_str() == rec.json_str()
+        assert alone.candidates == rec.candidates
+
+
 def test_sweep_rejects_bad_ranges(problem_small):
     with pytest.raises(ValueError, match="count"):
         run_sweep(problem_small, 0.05, 0.5, 3)
@@ -151,6 +167,14 @@ def test_ray_scan_two_power_exponent(problem_small):
     assert rs.expected_exponent == pytest.approx(3.0)
     assert abs(rs.fitted_exponent - 3.0) <= 0.3
     assert rs.unbounded_verdict
+
+
+def test_ray_scan_defaults_to_25_points(problem_small):
+    assert ray_scan(problem_small, 0.25) == ray_scan(problem_small, 0.25, 25)
+    rs = ray_scan(problem_small, 0.25, 3)
+    assert rs.taus == (0.1, 10.0, 1000.0)
+    with pytest.raises(ValueError, match="count >= 3"):
+        ray_scan(problem_small, 0.25, 2)
 
 
 def test_ray_scan_zero_datum_stays_quadratic():
@@ -510,6 +534,20 @@ def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
     assert "bad solver settings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", [1e300, 1e-300])
+def test_cli_extreme_T_exits_1(tmp_path, capsys, T):
+    # kappa_alpha overflows (1e300) or underflows to 0 (1e-300)
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    doc["T"] = T
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["conditions", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracvar: error: kappa_alpha") and f"T={T}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "patch, field",
     [
@@ -526,6 +564,11 @@ def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
         ({"T": "1.0"}, "T"),
         ({"solver": {"grad_tol": True}}, "grad_tol"),
         ({"solver": {"grad_tol": "1e-8"}}, "grad_tol"),
+        # table flags are read from the samples; "nonnegative" is not a key
+        ({"nonlinearity": {"kind": "table", "xs": [0, 1], "fs": [0, 1], "nonnegative": "no"}},
+         "bad parameters for nonlinearity 'table'"),
+        ({"nonlinearity": {"kind": "table", "xs": [0, 1], "fs": [0, 1], "nonnegative": False}},
+         "bad parameters for nonlinearity 'table'"),
     ],
 )
 def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):

@@ -282,7 +282,7 @@ def test_descend_is_bit_exact_against_oracle(assembly_mid, name, start, mu):
 )
 def test_descend_stop_reasons(assembly_mid, overrides, stop):
     x0, cap, t0 = _descent_setup(assembly_mid, "small")
-    cfg = SolverConfig().replace(**overrides)
+    cfg = SolverConfig(**overrides)
     run = _assert_matches_oracle(x0, 0.25, power_sum(1.5, 3.0), assembly_mid, cap, cfg, t0)
     assert run["stop"] == stop
     assert run["backtracks"] > 0
@@ -425,9 +425,13 @@ def test_solver_constants_keep_their_values():
 
 
 def test_solver_config_replace_keeps_other_fields():
+    # dataclasses.replace is the one way to vary a setting; it re-validates
+    assert not hasattr(SolverConfig, "replace")
     base = SolverConfig(grad_tol=1e-9, max_iters=123, restarts=3)
-    cfg = base.replace(seed=3)
+    cfg = dataclasses.replace(base, seed=3)
     assert (cfg.grad_tol, cfg.max_iters, cfg.restarts, cfg.seed) == (1e-9, 123, 3, 3)
-    assert SolverConfig().replace(seed=3) == SolverConfig(seed=3)
-    with pytest.raises(ValueError):
-        SolverConfig().replace(max_iters=0)
+    assert dataclasses.replace(SolverConfig(), seed=3) == SolverConfig(seed=3)
+    with pytest.raises(ValueError, match="max_iters"):
+        dataclasses.replace(SolverConfig(), max_iters=0)
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(SolverConfig(), seed=1.5)

@@ -102,7 +102,7 @@ def test_norms_are_homogeneous(model_mid, scale):
 
 def test_sup_norm_controlled_by_alpha_norm(model_mid):
     # the embedding that everything downstream leans on, checked directly
-    c = model_mid.embedding_constant
+    c = embedding_constant(model_mid.alpha, model_mid.config.T)
     rng = np.random.default_rng(12)
     for _ in range(100):
         u = SpectralElement(decayed_coeffs(rng, 32, amp=float(rng.uniform(0.01, 10.0))))
@@ -149,7 +149,7 @@ def test_audit_clean_at_mid_resolution():
     rep = audit_embeddings(model)
     asm = build_assembly(model)
     l2_const = 1.0 / euler_gamma(1.75)
-    c = model.embedding_constant
+    c = embedding_constant(0.75, 1.0)
     cos_a = abs(math.cos(math.pi * 0.75))
     rng = np.random.default_rng(5)
     worst = [0.0, 0.0, 0.0]
