@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracvar.energy import (
+    Nonlinearity,
     affine_power,
     build_assembly,
     coercivity_slack,
@@ -119,6 +120,10 @@ def test_table_nonnegativity_inference():
     # both flags are read from the samples; there is no override
     with pytest.raises(TypeError):
         table_datum([0.0, 1.0], [1.0, 2.0], nonnegative=False)
+    # a false f >= 0 claim is caught by the construction-time probe
+    signed = table_datum([-2.0, 0.0, 2.0], [-4.0, 0.0, 4.0])
+    with pytest.raises(ValueError, match="claims f >= 0"):
+        Nonlinearity("table", signed.f, signed.F, True, True, signed.params)
 
 
 def test_table_derivative_matches_data():
