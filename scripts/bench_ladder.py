@@ -15,36 +15,29 @@ No rung is capped: each runs all three repeats at the default
 max_iters; the (4096, 256) rung takes about 30 s per repeat on one
 core of a 2-core VM.
 
-The BLAS thread cap is set to 1 before numpy loads, as in perfbench, and
-recorded with the git revision.  Writes BENCH_<label>.json at the repo
-root, or --out:
+The BLAS thread cap is set to 1 before numpy loads, by importing
+perfbench/run.py, and the file records perfbench's provenance (git
+revision, source hash, BLAS library and thread cap).  Writes the JSON
+to --out, which is required, so no run overwrites the committed
+baseline unless asked to:
 
-    PYTHONPATH=src python scripts/bench_ladder.py --label baseline
+    PYTHONPATH=src python scripts/bench_ladder.py --out BENCH_baseline.json
     PYTHONPATH=src python scripts/bench_ladder.py --rungs 512 --out /tmp/BENCH_512.json
 """
-
-import os
-import sys
-
-BLAS_THREADS = "1"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if __name__ == "__main__":  # before numpy loads; importing this module leaves the cap alone
-    for _var in BLAS_THREAD_VARS:
-        os.environ[_var] = BLAS_THREADS
 
 import argparse
 import dataclasses
 import json
-import platform
-import subprocess
+import sys
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import run  # noqa: E402, F401  (perfbench/run.py sets the BLAS thread cap before numpy loads)
+
 import tracing as tr  # noqa: E402  (perfbench/tracing.py)
+from bench import provenance  # noqa: E402
 from tracing import Tracer, call_clock, clock  # noqa: E402
 
 from fracvar import conditions, solver  # noqa: E402
@@ -113,25 +106,12 @@ def run_rung(n: int, k_max: int) -> dict:
     }
 
 
-def _git_revision():
-    try:
-        git = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30
-        )
-    except OSError:
-        return None
-    return git.stdout.strip() if git.returncode == 0 else None
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    where = ap.add_mutually_exclusive_group()
-    where.add_argument("--label", default="baseline", help="writes BENCH_<label>.json")
-    where.add_argument("--out", default=None, help="output path in place of the label's")
+    ap.add_argument("--out", type=Path, required=True, help="path of the JSON to write")
     ap.add_argument("--rungs", type=int, nargs="+", choices=[n for n, _ in LADDER],
                     default=[n for n, _ in LADDER], help="the n of each rung to run")
     args = ap.parse_args(argv)
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
 
     rungs = []
     for n, k_max in LADDER:
@@ -146,17 +126,11 @@ def main(argv=None) -> int:
             "nonlinearity": {"kind": "power_sum", **POWERS},
             "solver": dataclasses.asdict(solver.SolverConfig()),
         },
-        "provenance": {
-            "git_revision": _git_revision(),
-            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus_usable": len(os.sched_getaffinity(0)),
-        },
+        "provenance": provenance(ROOT, "ladder", solver.SolverConfig().seed, "example problem"),
         "rungs": rungs,
     }
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
     return 0
 
 
