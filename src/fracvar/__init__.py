@@ -4,81 +4,6 @@ Layered bottom-up: fractional integral/derivative quadrature
 (frac_kernel), the sine spectral space with cached operator images
 (space), energy functionals (energy), admissibility thresholds
 (conditions), constrained minimization and certificates (solver), and
-the sweep/CLI layer (harness).
+the sweep/CLI layer (harness).  Each name is imported from the module
+that defines it, e.g. ``from fracvar.solver import minimize``.
 """
-
-from .conditions import (
-    ConditionReport,
-    TriState,
-    evaluate_conditions,
-    example_closed_forms,
-    kappa_alpha,
-    lambda_interval,
-    limit_probes,
-    mu_star,
-    phi_r_upper_bound,
-    sup_ratio,
-)
-from .energy import (
-    EnergyAssembly,
-    Nonlinearity,
-    affine_power,
-    build_assembly,
-    eval_J,
-    eval_phi,
-    eval_psi,
-    from_tag,
-    grad_J,
-    power_sum,
-    sqrt_plus,
-    table_datum,
-    zero_datum,
-)
-from .errors import FracvarError, HypothesisError, ResolutionError
-from .frac_kernel import (
-    FracOrder,
-    Grid,
-    GridFunction,
-    caputo_left,
-    caputo_right,
-    cumulative_trapezoid,
-    euler_gamma,
-    rl_left_integral,
-    rl_right_integral,
-)
-from .harness import (
-    RayScanReport,
-    SweepReport,
-    cli_main,
-    emit_report,
-    kernel_verify,
-    ray_scan,
-    run_sweep,
-)
-from .problem import ProblemSpec
-from .solver import (
-    CertificateSet,
-    SolutionRecord,
-    SolverConfig,
-    certify,
-    minimize,
-    residual_tolerance,
-    sublevel_radius,
-    weak_residual,
-    weak_residual_values,
-)
-from .space import (
-    AuditReport,
-    Norms,
-    SpaceConfig,
-    SpaceModel,
-    SpectralElement,
-    audit_embeddings,
-    build_space,
-    embedding_constant,
-    norms,
-    synthesize,
-    unit_mode,
-)
-
-__version__ = "0.1.0"

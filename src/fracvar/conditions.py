@@ -2,10 +2,11 @@
 
 Everything here is scalar bookkeeping ahead of any solve: the constant
 kappa_alpha, the supremum of gamma^2 / max_{|xi| <= gamma} F(xi) over a
-log-spaced probe grid, the induced parameter threshold mu_star and the
-admissible interval for nonnegative data, tri-state probes for the limit
-conditions at 0+ and at infinity, and the closed forms available for the
-two-power catalog datum.
+log-spaced probe grid, the induced parameter threshold mu_star,
+tri-state probes for the limit conditions at 0+ and at infinity, and the
+closed forms available for the two-power catalog datum.  The admissible
+interval (0, mu_star) for nonnegative data is a field of the report,
+ConditionReport.lambda_right_endpoint, not a separate computation.
 
 The window maximum max_{|xi| <= gamma} F(xi) is exact, not sampled: it
 is attained at +-gamma, at 0, or at one of F's interior local maxima
@@ -20,7 +21,6 @@ flagged rather than extrapolated.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -35,17 +35,14 @@ from .frac_kernel import FracOrder, euler_gamma
 __all__ = [
     "TriState",
     "SupRatio",
-    "LambdaInterval",
     "LimitProbes",
     "ExampleForms",
     "ConditionReport",
     "kappa_alpha",
     "sup_ratio",
     "mu_star",
-    "lambda_interval",
     "limit_probes",
     "example_closed_forms",
-    "phi_r_upper_bound",
     "evaluate_conditions",
 ]
 
@@ -57,6 +54,9 @@ SMALL_PROBE_DEPTH = 14
 LARGE_PROBE_DEPTH = 8
 _REFINE_REL_TOL = 1e-8
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# the coarse probe grid, shared by every scan, so it is read-only
+_COARSE_GAMMAS = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, COARSE_POINTS)
+_COARSE_GAMMAS.setflags(write=False)
 
 
 class TriState(str, enum.Enum):
@@ -97,17 +97,6 @@ class SupRatio:
     value: float
     gamma_bar: float
     at_boundary: bool = False
-
-
-@functools.cache
-def _probe_grid(points: int) -> np.ndarray:
-    """Log-spaced probe grid over [PROBE_GAMMA_MIN, PROBE_GAMMA_MAX].
-
-    Built once per size and shared by every caller, so it is read-only.
-    """
-    grid = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, points)
-    grid.setflags(write=False)
-    return grid
 
 
 def _ratio_or_inf(gammas: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -205,7 +194,7 @@ def sup_ratio(nl: Nonlinearity) -> SupRatio:
 
 def _coarse_scan(nl: Nonlinearity):
     """(gammas, ratios, g): the coarse grid, its ratios, and the ratio at one gamma."""
-    gammas = _probe_grid(COARSE_POINTS)
+    gammas = _COARSE_GAMMAS
     window_max = _window_max(nl)
     ratios = _ratio_or_inf(gammas, window_max(gammas))
 
@@ -220,29 +209,6 @@ def mu_star(nl: Nonlinearity, alpha, T: float) -> float:
     """sup_ratio / kappa_alpha, with +inf passed through."""
     value = sup_ratio(nl).value
     return value / kappa_alpha(alpha, T)
-
-
-class LambdaInterval(NamedTuple):
-    """Open parameter interval (left, right) of guaranteed existence."""
-
-    left: float
-    right: float
-    right_at_boundary: bool = False
-
-
-def lambda_interval(nl: Nonlinearity, alpha, T: float) -> LambdaInterval:
-    """Admissible interval (0, sup_gamma gamma^2/F(gamma) / kappa_alpha).
-
-    Defined for nonnegative data only, where F is nondecreasing on the
-    positive axis and the windowed maximum collapses to F(gamma); the
-    right endpoint then coincides with mu_star up to probe resolution.
-    """
-    if not nl.nonnegative:
-        raise HypothesisError(
-            f"admissible interval needs a nonnegative datum; {nl.kind!r} is not flagged nonnegative"
-        )
-    sup = sup_ratio(nl)
-    return LambdaInterval(0.0, sup.value / kappa_alpha(alpha, T), sup.at_boundary)
 
 
 @dataclass(frozen=True)
@@ -345,20 +311,6 @@ def example_closed_forms(r: float, s: float) -> ExampleForms:
     return ExampleForms(gbar, mu_bound)
 
 
-def phi_r_upper_bound(gamma_bar: float, nl: Nonlinearity, alpha, T: float) -> float:
-    """kappa_alpha * max_{|xi| <= gamma_bar} F(xi) / gamma_bar^2.
-
-    A computable upper bound for the sublevel ratio whose strict
-    comparison with 1/mu decides admissibility; the exact infimum it
-    bounds is out of scope here. The window maximum is the exact one the
-    supremum uses.
-    """
-    if not gamma_bar > 0.0:
-        raise ValueError(f"gamma_bar must be positive, got {gamma_bar}")
-    max_F = float(_window_max(nl)(np.array([gamma_bar]))[0])
-    return kappa_alpha(alpha, T) * max_F / (gamma_bar * gamma_bar)
-
-
 @dataclass(frozen=True)
 class ConditionReport(JsonCodec):
     """Everything the admissibility analysis produced for one datum.
@@ -367,7 +319,9 @@ class ConditionReport(JsonCodec):
     the supremum was taken over, with the refined argmax
     (gamma_bar, sup_ratio) appended last, so gamma_bar attains the
     maximal ratio among the retained pairs. Every ratio, signed data
-    included, reads the exact window maximum of F.
+    included, reads the exact window maximum of F. lambda_right_endpoint,
+    the right end of the admissible interval, is mu_star for nonnegative
+    data and None otherwise; sup_at_boundary flags it.
     """
 
     kappa_alpha: float
@@ -403,7 +357,7 @@ def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:
     else:
         sg = TriState.FAILS
 
-    # lambda_interval's right endpoint is the same quotient of the same supremum
+    # the admissible interval (0, mu_star) is defined for nonnegative data only
     lam = mu if nl.nonnegative else None
 
     lim = limit_probes(nl, kappa)

@@ -9,7 +9,7 @@ class HypothesisError(FracvarError):
     """A structural hypothesis needed by the requested computation fails.
 
     Examples: a sweep range outside the admissible parameter interval, or
-    an interval computation asked for a sign-changing nonlinearity.
+    a signed datum whose potential has no known peaks.
     """
 
 

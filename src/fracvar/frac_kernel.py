@@ -187,20 +187,14 @@ class FracOrder:
         return cls(alpha, differentiation=True)
 
 
-def _integration_order(order) -> float:
-    if isinstance(order, FracOrder):
-        if order.differentiation:
-            raise ValueError("expected an integration order, got a differentiation order")
-        return order.value
-    return FracOrder.integral(float(order)).value
-
-
-def _differentiation_order(order) -> float:
-    if isinstance(order, FracOrder):
-        if not order.differentiation:
-            raise ValueError("expected a differentiation order, got an integration order")
-        return order.value
-    return FracOrder.derivative(float(order)).value
+def _order(order, differentiation: bool) -> float:
+    """order's value, checked as a differentiation order if differentiation, else integration."""
+    if not isinstance(order, FracOrder):
+        return FracOrder(float(order), differentiation).value
+    if order.differentiation != differentiation:
+        uses = ("an integration order", "a differentiation order")
+        raise ValueError(f"expected {uses[differentiation]}, got {uses[not differentiation]}")
+    return order.value
 
 
 # rows * (n + 1) from which the per-node loop beats per-row np.convolve
@@ -307,7 +301,7 @@ def rl_left_integral(u: GridFunction, order) -> GridFunction:
         Nodal values of the fractional integral, shaped like u; the value
         at t = 0 is 0.
     """
-    gamma = _integration_order(order)
+    gamma = _order(order, differentiation=False)
     return GridFunction(u.grid, _abel_left(u.values, gamma, u.grid.h))
 
 
@@ -317,7 +311,7 @@ def rl_right_integral(u: GridFunction, order) -> GridFunction:
     Mirror symmetry is exact: the result equals the left integral of the
     reversed samples, reversed back.  The value at t = T is 0.
     """
-    gamma = _integration_order(order)
+    gamma = _order(order, differentiation=False)
     mirrored = _abel_left(u.values[..., ::-1].copy(), gamma, u.grid.h)
     return GridFunction(u.grid, mirrored[..., ::-1].copy())
 
@@ -328,7 +322,7 @@ def caputo_left(u_prime: GridFunction, order) -> GridFunction:
     For alpha < 1 this is the left RL integral of order 1 - alpha applied
     to u'; at alpha = 1 it returns u' unchanged.
     """
-    alpha = _differentiation_order(order)
+    alpha = _order(order, differentiation=True)
     if alpha == 1.0:
         return GridFunction(u_prime.grid, u_prime.values.copy())
     return rl_left_integral(u_prime, 1.0 - alpha)
@@ -341,7 +335,7 @@ def caputo_right(u_prime: GridFunction, order) -> GridFunction:
     -u', and for alpha < 1 it is minus the right RL integral of order
     1 - alpha applied to u'.
     """
-    alpha = _differentiation_order(order)
+    alpha = _order(order, differentiation=True)
     if alpha == 1.0:
         return GridFunction(u_prime.grid, -u_prime.values)
     mirrored = rl_right_integral(u_prime, 1.0 - alpha)

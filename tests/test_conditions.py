@@ -18,10 +18,8 @@ from fracvar.conditions import (
     evaluate_conditions,
     example_closed_forms,
     kappa_alpha,
-    lambda_interval,
     limit_probes,
     mu_star,
-    phi_r_upper_bound,
     sup_ratio,
 )
 from fracvar.energy import (
@@ -33,7 +31,6 @@ from fracvar.energy import (
     table_datum,
     zero_datum,
 )
-from fracvar.errors import HypothesisError
 
 from oracles import kappa_ref
 
@@ -126,6 +123,17 @@ def test_sqrt_plus_sup_hits_probe_boundary():
     assert sup.value == pytest.approx(1.5 * math.sqrt(1e6), rel=1e-6)
 
 
+def test_interior_peak_sets_the_window_max():
+    # f = 1 on [0, 1], then falls linearly to -1 at xi = 2 and stays
+    # there: F peaks at xi = 1.5 with F = 1 + 1/4 and F(+-gamma) < 1.25
+    # past it, so from gamma = 1.5 on the window max is the interior peak
+    # and the ratio gamma^2 / 1.25 peaks at the grid edge; without the
+    # peak the window max would be 0 there and the ratio infinite
+    sup = sup_ratio(table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0]))
+    assert sup.at_boundary is True
+    assert sup.value == pytest.approx(1e12 / 1.25, rel=1e-12)
+
+
 def test_zero_datum_sup_is_infinite():
     sup = sup_ratio(zero_datum())
     assert math.isinf(sup.value)
@@ -161,44 +169,6 @@ def test_two_power_closed_forms():
     forms = example_closed_forms(1.5, 3.0)
     assert forms.gamma_bar == pytest.approx(1.0, abs=1e-12)
     assert forms.mu_bound(0.75, 1.0) == pytest.approx(1.0 / kappa_alpha(0.75, 1.0), rel=1e-12)
-
-
-def test_lambda_interval_for_nonnegative_datum():
-    li = lambda_interval(power_sum(1.5, 3.0), 0.75, 1.0)
-    assert li.left == 0.0
-    assert li.right == pytest.approx(mu_star(power_sum(1.5, 3.0), 0.75, 1.0), rel=1e-12)
-    assert li.right_at_boundary is False
-
-
-def test_lambda_interval_rejects_signed_datum():
-    with pytest.raises(HypothesisError, match="nonnegative"):
-        lambda_interval(affine_power(4.0), 0.75, 1.0)
-
-
-def test_lambda_interval_boundary_flag_propagates():
-    li = lambda_interval(sqrt_plus(), 0.75, 1.0)
-    assert li.right_at_boundary is True
-    assert li.right == pytest.approx(1.5 * math.sqrt(1e6) / kappa_alpha(0.75, 1.0), rel=1e-6)
-
-
-def test_phi_r_upper_bound_definition():
-    nl = power_sum(1.5, 3.0)
-    # F is nondecreasing, F(1) = 1, so the bound at gamma_bar = 1 is kappa
-    assert phi_r_upper_bound(1.0, nl, 0.75, 1.0) == pytest.approx(
-        kappa_alpha(0.75, 1.0), rel=1e-12
-    )
-    b2 = phi_r_upper_bound(2.0, nl, 0.75, 1.0)
-    F2 = float(nl.F(np.array([2.0]))[0])
-    assert b2 == pytest.approx(kappa_alpha(0.75, 1.0) * F2 / 4.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        phi_r_upper_bound(0.0, nl, 0.75, 1.0)
-    # f = 1 on [0, 1], then falls linearly to -1 at xi = 2 and stays
-    # there: F peaks at xi = 1.5 with F = 1 + 1/4, above F(3) = 0 and
-    # F(-3) = -3, so the window max over [-3, 3] is the interior peak
-    peaked = table_datum([0.0, 1.0, 2.0], [1.0, 1.0, -1.0])
-    assert phi_r_upper_bound(3.0, peaked, 0.75, 1.0) == pytest.approx(
-        kappa_alpha(0.75, 1.0) * 1.25 / 9.0, rel=1e-12
-    )
 
 
 # ---------------------------------------------------------- limit probes
@@ -242,6 +212,17 @@ def test_evaluate_conditions_two_power():
     assert rep.s0_holds is TriState.HOLDS
     assert rep.zero_holds is TriState.HOLDS
     assert len(rep.probes) > 0
+
+
+def test_evaluate_conditions_interval_at_the_probe_boundary():
+    # gamma^2/F grows like sqrt(gamma): the interval's right end is mu_star,
+    # read at the grid edge and flagged
+    rep = evaluate_conditions(sqrt_plus(), 0.75, 1.0)
+    assert rep.sup_at_boundary is True
+    assert rep.lambda_right_endpoint == rep.mu_star
+    assert rep.lambda_right_endpoint == pytest.approx(
+        1.5e3 / kappa_alpha(0.75, 1.0), rel=1e-6
+    )
 
 
 def test_evaluate_conditions_signed_datum_has_no_interval():
@@ -299,7 +280,7 @@ def test_report_matches_standalone_quantities_exactly(name):
     assert rep.sup_at_boundary == sup.at_boundary
     assert rep.mu_star == mu_star(nl, 0.7, 1.5)
     if nl.nonnegative:
-        assert rep.lambda_right_endpoint == lambda_interval(nl, 0.7, 1.5).right
+        assert rep.lambda_right_endpoint == rep.mu_star
     else:
         assert rep.lambda_right_endpoint is None
 

@@ -53,3 +53,17 @@ def test_bench_baseline_layout():
             assert restart["stop"] in ("grad_tol", "max_iters", "line_search")
             assert restart["iters"] >= 1 and restart["wall_s"] > 0.0
         assert rung["record"]["converged"] and rung["record"]["energy"] < 0.0
+
+
+def test_cli_outputs_exit_0_with_canonical_json(tmp_path):
+    assert _load("cli_outputs").main(["--out", str(tmp_path)]) == 0
+    codes = (tmp_path / "EXIT_CODES").read_text().splitlines()
+    assert codes and all(line.split()[0] == "0" for line in codes)
+    bodies = sorted(tmp_path.glob("*.json"))
+    # conditions, solve, ray-scan and sweep as json, per shipped config
+    assert len(bodies) == 4 * len(list((SCRIPTS.parent / "configs").glob("*.json")))
+    for path in bodies:
+        body = path.read_text()
+        assert body == json.dumps(json.loads(body), sort_keys=True, indent=2) + "\n", path.name
+    listed = {line.split()[1] for line in (tmp_path / "SHA256SUMS").read_text().splitlines()}
+    assert listed == {p.name for p in tmp_path.iterdir()} - {"SHA256SUMS"}
