@@ -179,10 +179,6 @@ class FracOrder:
         object.__setattr__(self, "value", v)
 
     @classmethod
-    def integral(cls, gamma: float) -> "FracOrder":
-        return cls(gamma, differentiation=False)
-
-    @classmethod
     def derivative(cls, alpha: float) -> "FracOrder":
         return cls(alpha, differentiation=True)
 

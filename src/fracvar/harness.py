@@ -33,7 +33,7 @@ from .frac_kernel import (
     rl_right_integral,
 )
 from .problem import ProblemSpec
-from .solver import SolutionRecord, minimize
+from .solver import SolutionRecord, minimize, restart_pool
 from .space import SpectralElement, embedding_constant, unit_mode
 
 __all__ = [
@@ -94,7 +94,10 @@ def run_sweep(
     seeds are derived from the base seed with a fixed stride, so the
     whole sweep is a pure function of (problem, range, count).
     Geometric spacing concentrates points near small mu, where the
-    norm-decay behavior lives.
+    norm-decay behavior lives.  The restarts of every point run on one
+    restart_pool, opened here and closed before return; a script that
+    calls run_sweep needs an `if __name__ == "__main__":` guard, since
+    the spawned workers re-import it.
     """
     if count < 4:
         raise ValueError(f"sweep needs count >= 4, got {count}")
@@ -113,10 +116,17 @@ def run_sweep(
     gb = report.gamma_bar
     mus = np.geomspace(mu_min, mu_max, count)
     records = []
-    for i, m in enumerate(mus):
-        seed = problem.solver.seed + _SWEEP_SEED_STRIDE * i
-        point = dataclasses.replace(problem, solver=dataclasses.replace(problem.solver, seed=seed))
-        records.append(minimize(point, float(m), model=model, assembly=assembly, gamma_bar=gb))
+    with restart_pool(problem, assembly) as pool:
+        for i, m in enumerate(mus):
+            seed = problem.solver.seed + _SWEEP_SEED_STRIDE * i
+            point = dataclasses.replace(
+                problem, solver=dataclasses.replace(problem.solver, seed=seed)
+            )
+            records.append(
+                minimize(
+                    point, float(m), model=model, assembly=assembly, gamma_bar=gb, executor=pool
+                )
+            )
 
     energies = [r.energy for r in records]
     norms_a = [r.norm_alpha for r in records]

@@ -6,20 +6,39 @@ backtracking; the projection is a radial rescale, exact because Phi is a
 positive-definite quadratic form of the coefficients.  Verification is
 separate from search: the weak residual measures deviation of the
 reconstructed first-order map from a constant, and certify() turns one
-record into explicit pass/fail certificates.
+record into explicit pass/fail certificates.  A sweep runs the restarts
+of each point on a pool of spawned worker processes (restart_pool); the
+records are the serial ones bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import pickle
+import sys
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from . import conditions as cond
 from .codec import JsonCodec, custom
-from .energy import EnergyAssembly, Nonlinearity, eval_phi, eval_psi
+from .energy import (
+    NONLINEARITY_TAGS,
+    EnergyAssembly,
+    Nonlinearity,
+    eval_phi,
+    eval_psi,
+    from_tag,
+)
+from .errors import FracvarError
 from .frac_kernel import (
     FracOrder,
     GridFunction,
@@ -37,6 +56,7 @@ __all__ = [
     "SolutionRecord",
     "CertificateSet",
     "sublevel_radius",
+    "restart_pool",
     "minimize",
     "weak_residual",
     "weak_residual_values",
@@ -51,7 +71,8 @@ RESIDUAL_TOL_COEFF = 0.05
 
 _START_AMPLITUDES = (1e-3, 1e-2, 1e-1)
 _TIE_TOL = 1e-10
-# per-restart fields a record keeps; stop is "grad_tol", "max_iters" or "line_search"
+# per-restart fields a record keeps; stop is "grad_tol", "max_iters", "line_search"
+# or "nonfinite" (a projection, energy or gradient overflowed or became NaN)
 _CANDIDATE_KEYS = ("energy", "norm_alpha", "grad_norm", "iters", "converged", "stop", "backtracks")
 
 
@@ -123,6 +144,7 @@ class SolutionRecord(JsonCodec):
     node_values: tuple[float, ...] = field(repr=False)
 
 
+@np.errstate(all="ignore")
 def _descend(
     x0: np.ndarray,
     mu: float,
@@ -137,7 +159,9 @@ def _descend(
     Each point is synthesized once and its Phi formed once: the
     projection returns Phi with the point (recomputed only after a
     radial rescale), the trial energy reuses it, and the accepted
-    point's gradient reuses the trial's synthesis.  Returns the final x
+    point's gradient reuses the trial's synthesis.  A non-finite Phi,
+    energy or gradient ends the run as "nonfinite" at the last finite
+    iterate, without a floating-point warning.  Returns the final x
     with its energy, phi, grad_norm, iters, backtracks (step shrinks)
     and stop reason.
     """
@@ -148,7 +172,7 @@ def _descend(
 
     def project(x: np.ndarray):
         p = float(x @ Ms @ x)
-        if p >= cap and p > 0.0:
+        if cap <= p < math.inf and p > 0.0:  # an overflowed Phi is kept, and stops the run
             x = x * math.sqrt(cap / p)
             p = float(x @ Ms @ x)
         return x, p
@@ -160,7 +184,11 @@ def _descend(
     it = backtracks = 0
     stop = "max_iters"
     for it in range(1, cfg.max_iters + 1):
-        if math.sqrt(float(g @ g)) <= grad_tol and phi < cap:
+        gn = math.sqrt(float(g @ g))
+        if not (math.isfinite(gn) and math.isfinite(Jx)):
+            stop = "nonfinite"
+            break
+        if gn <= grad_tol and phi < cap:
             stop = "grad_tol"
             break
         if x_prev is not None:
@@ -175,13 +203,21 @@ def _descend(
             v, phi_v = project(x - t * g)
             decrease = float(g @ (x - v))
             if decrease > 0.0:
-                Jv, synth = energy(v, phi_v)
+                Jv, synth = energy(v, phi_v)  # a non-finite phi_v makes Jv non-finite
+                if not math.isfinite(Jv):
+                    stop = "nonfinite"
+                    break
                 if Jv <= Jx - armijo_c * decrease:
                     break
+            elif not (math.isfinite(phi_v) and math.isfinite(decrease)):
+                stop = "nonfinite"
+                break
             t *= shrink
             backtracks += 1
         else:  # the step shrank below t_min without an Armijo decrease
             stop = "line_search"
+            break
+        if stop == "nonfinite":
             break
         assert Jv <= Jx + 1e-12 * (1.0 + abs(Jx))  # descent along accepted steps
         x_prev, g_prev = x, g
@@ -191,6 +227,103 @@ def _descend(
     return dict(x=x, energy=Jx, phi=phi, grad_norm=gn, iters=it, backtracks=backtracks, stop=stop)
 
 
+# the assembly and datum a restart-pool worker descends on, set once by _init_worker
+_worker: tuple[EnergyAssembly, Nonlinearity] | None = None
+
+
+def _init_worker(assembly_path: str, kind: str, params: dict) -> None:
+    global _worker
+    with open(assembly_path, "rb") as fh:
+        _worker = (pickle.load(fh), from_tag(kind, **params))
+
+
+def _pooled_descend(x0, mu, cap, cfg, t0) -> dict:
+    assembly, nl = _worker
+    return _descend(x0, mu, nl, assembly, cap, cfg, t0)
+
+
+class _RestartPool(ProcessPoolExecutor):
+    """Spawned workers that each hold one assembly, read from assembly_path, and one datum."""
+
+    def __init__(
+        self, workers: int, assembly: EnergyAssembly, nl: Nonlinearity, assembly_path: str
+    ) -> None:
+        super().__init__(
+            workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(assembly_path, nl.kind, nl.params),
+        )
+        self.assembly = assembly
+        self.datum = (nl.kind, nl.params)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def restart_pool(problem: "ProblemSpec", assembly: EnergyAssembly):
+    """A pool for minimize's restarts on problem's datum and assembly, or None.
+
+    It has min(restarts, available CPUs) spawned workers.  Each loads the
+    assembly once, from a pickle in a temporary directory, and rebuilds
+    the datum from its catalog tag, since f and F are closures that do
+    not pickle.  The assembly stays out of the start-up message because
+    spawn writes that message whole while it holds the child's end of
+    the pipe: a worker that dies importing the main script, before it
+    reads past the pipe's buffer, would block the parent for good.
+
+    None, for serial restarts, when that is one worker, the datum is
+    outside NONLINEARITY_TAGS, the caller is a daemonic process, which
+    may not start children, or the main module has no file to re-import
+    (code read from standard input).  Workers inherit the environment,
+    BLAS thread cap included, and are joined when the block exits, also
+    when it raises.
+    """
+    nl = problem.nonlinearity
+    workers = min(problem.solver.restarts, _available_cpus())
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    if (
+        workers < 2
+        or nl.kind not in NONLINEARITY_TAGS
+        or multiprocessing.current_process().daemon
+        or not (main_file is None or os.path.exists(main_file))
+    ):
+        yield None
+        return
+    with tempfile.TemporaryDirectory(prefix="fracvar-pool-") as tmp:
+        path = os.path.join(tmp, "assembly.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump(assembly, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pool = _RestartPool(workers, assembly, nl, path)
+        try:
+            with _worker_deaths():
+                # one task per worker starts them all here, so their start-up
+                # is the pool's and not the first restart's
+                for started in [pool.submit(os.getpid) for _ in range(workers)]:
+                    started.result()
+            yield pool
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _worker_deaths():
+    """Turn a dead restart worker into a FracvarError naming the likely cause."""
+    try:
+        yield
+    except BrokenProcessPool as exc:
+        raise FracvarError(
+            f"a restart worker process died ({exc}). Workers are spawned and re-import "
+            "the main script, so a script that calls run_sweep must make that call "
+            'under `if __name__ == "__main__":`'
+        ) from exc
+
+
 def minimize(
     problem: "ProblemSpec",
     mu: float,
@@ -198,6 +331,7 @@ def minimize(
     model: SpaceModel | None = None,
     assembly: EnergyAssembly | None = None,
     gamma_bar: float | None = None,
+    executor: ProcessPoolExecutor | None = None,
 ) -> SolutionRecord:
     """Multi-start constrained minimization of J_mu.
 
@@ -206,8 +340,10 @@ def minimize(
     matter because for small mu the nontrivial minimum has small norm
     and a large-amplitude start can slide back to zero.  Among converged
     runs the lowest energy wins; ties within 1e-10 go to the smaller
-    norm.  With no converged run the best iterate is returned with
-    converged=False rather than raising, so sweeps survive bad points.
+    norm.  With no converged run the best finite iterate is returned
+    with converged=False rather than raising, so sweeps survive bad
+    points.  executor, a pool from restart_pool on this assembly and
+    datum, runs the restarts in parallel; the record is the same bytes.
     """
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 0.0):
@@ -227,36 +363,50 @@ def minimize(
     t0 = 1.0 / lam_max
 
     rng = np.random.default_rng(cfg.seed)
-    runs = []
-    for j in range(cfg.restarts):
-        if j == 0:
-            x0 = np.zeros(k)
-        else:
-            d = rng.standard_normal(k)
-            na = math.sqrt(float(d @ G @ d))
-            x0 = d * (_START_AMPLITUDES[(j - 1) % len(_START_AMPLITUDES)] / na)
-        run = _descend(x0, mu, nl, assembly, cap, cfg, t0)
-        x = run["x"]
-        run["converged"] = run["grad_norm"] <= cfg.grad_tol and run["phi"] < cap
-        run["norm_alpha"] = math.sqrt(max(float(x @ G @ x), 0.0))
-        runs.append(run)
+    starts = [np.zeros(k)]
+    for j in range(1, cfg.restarts):
+        d = rng.standard_normal(k)
+        na = math.sqrt(float(d @ G @ d))
+        starts.append(d * (_START_AMPLITUDES[(j - 1) % len(_START_AMPLITUDES)] / na))
+    if executor is None:
+        runs = [_descend(x0, mu, nl, assembly, cap, cfg, t0) for x0 in starts]
+    else:
+        datum = (nl.kind, nl.params)
+        if getattr(executor, "assembly", None) is not assembly or executor.datum != datum:
+            raise ValueError("executor must come from restart_pool on this assembly and datum")
+        with _worker_deaths():  # map returns the runs in restart order
+            runs = list(
+                executor.map(
+                    _pooled_descend, starts, repeat(mu), repeat(cap), repeat(cfg), repeat(t0)
+                )
+            )
+    with np.errstate(all="ignore"):  # a nonfinite restart's own numbers may overflow
+        for run in runs:
+            x = run["x"]
+            run["converged"] = run["grad_norm"] <= cfg.grad_tol and run["phi"] < cap
+            run["norm_alpha"] = math.sqrt(max(float(x @ G @ x), 0.0))
 
-    pool = [r_ for r_ in runs if r_["converged"]] or runs
-    best = min(pool, key=lambda r_: (r_["energy"], r_["norm_alpha"]))
-    for r_ in pool:
-        if (
-            r_ is not best
-            and abs(r_["energy"] - best["energy"]) <= _TIE_TOL
-            and r_["norm_alpha"] < best["norm_alpha"]
-        ):
-            best = r_
+        pool = (
+            [r_ for r_ in runs if r_["converged"]]
+            or [r_ for r_ in runs if math.isfinite(r_["energy"])]
+            or runs
+        )
+        best = min(pool, key=lambda r_: (r_["energy"], r_["norm_alpha"]))
+        for r_ in pool:
+            if (
+                r_ is not best
+                and abs(r_["energy"] - best["energy"]) <= _TIE_TOL
+                and r_["norm_alpha"] < best["norm_alpha"]
+            ):
+                best = r_
 
-    u = SpectralElement(tuple(float(v) for v in best["x"]))
-    nm = norms(u, model)
-    phi = eval_phi(u, assembly)
-    psi = eval_psi(u, nl, assembly)
-    energy = phi - mu * psi
-    res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model))
+        u = SpectralElement(tuple(float(v) for v in best["x"]))
+        nm = norms(u, model)
+        phi = eval_phi(u, assembly)
+        psi = eval_psi(u, nl, assembly)
+        energy = phi - mu * psi
+        res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model))
+        node_values = tuple(float(v) for v in synthesize(u, model).values)
     converged = bool(best["converged"])
     candidates = tuple({key: r_[key] for key in _CANDIDATE_KEYS} for r_ in runs)
     return SolutionRecord(
@@ -274,7 +424,7 @@ def minimize(
         gamma_bar=float(gamma_bar),
         r_radius=float(r),
         candidates=candidates,
-        node_values=tuple(float(v) for v in synthesize(u, model).values),
+        node_values=node_values,
     )
 
 

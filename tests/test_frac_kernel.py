@@ -36,7 +36,7 @@ def grid():
 def test_integration_order_accepts_positive_reals():
     assert FracOrder(0.3).value == 0.3
     assert FracOrder(2.5).value == 2.5
-    assert FracOrder.integral(1.0).differentiation is False
+    assert FracOrder(1.0).differentiation is False
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, math.nan])

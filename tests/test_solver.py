@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fracvar import solver
 from fracvar.conditions import evaluate_conditions, kappa_alpha
 from fracvar.energy import (
     Nonlinearity,
@@ -358,6 +360,56 @@ def test_subcritical_linear_datum_minimizes_to_zero():
     assert sol.energy == 0.0
     assert sol.converged
     assert not sol.nontrivial
+
+
+def test_overflowing_restarts_stop_as_nonfinite_without_a_warning():
+    # at T = 1e150, mu = 0.25 lies far above mu_star (5.3e-226): the first
+    # step of every random start overflows Phi, while the zero start converges
+    spec = ProblemSpec(alpha=0.75, T=1e150, n=512, k_max=32, nonlinearity=power_sum(1.5, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = minimize(spec, 0.25)
+    assert [c["stop"] for c in sol.candidates] == ["grad_tol"] + ["nonfinite"] * 7
+    assert all(math.isfinite(c["energy"]) and c["iters"] == 1 for c in sol.candidates)
+    assert (sol.energy, sol.norm_alpha, sol.converged) == (0.0, 0.0, True)
+
+
+def test_overflowing_start_stops_at_once(assembly_mid, nl_two_power):
+    x0 = np.full(assembly_mid.space.k_max, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _descend(x0, 0.25, nl_two_power, assembly_mid, 1.0, SolverConfig(), 1e-3)
+    assert (run["stop"], run["iters"], run["backtracks"]) == ("nonfinite", 1, 0)
+    assert not math.isfinite(run["energy"])
+
+
+def test_nonfinite_restart_never_wins_the_record(monkeypatch):
+    # with no converged run the record is the best finite one, not a -inf energy
+    real = solver._descend
+    runs = []
+
+    def descend(*args):
+        runs.append(real(*args))
+        if len(runs) == 2:
+            runs[-1] = dict(runs[-1], energy=-math.inf, stop="nonfinite")
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "_descend", descend)
+    spec = ProblemSpec(
+        alpha=0.75,
+        T=1.0,
+        n=256,
+        k_max=16,
+        nonlinearity=affine_power(3.0),
+        solver=SolverConfig(max_iters=1),
+    )
+    sol = minimize(spec, 0.1)
+    assert not any(c["converged"] for c in sol.candidates)
+    assert sol.candidates[1]["stop"] == "nonfinite"
+    finite = [r for r in runs if math.isfinite(r["energy"])]
+    best = min(finite, key=lambda r: (r["energy"], r["norm_alpha"]))
+    assert best is not runs[1]
+    assert np.array_equal(sol.coeffs.coeffs, best["x"])
 
 
 def test_conditions_reject_signed_datum_outside_catalog():
