@@ -40,7 +40,6 @@ __all__ = [
     "ConditionReport",
     "kappa_alpha",
     "sup_ratio",
-    "mu_star",
     "limit_probes",
     "example_closed_forms",
     "evaluate_conditions",
@@ -203,12 +202,6 @@ def _coarse_scan(nl: Nonlinearity):
         return gamma * gamma / e if e > 0.0 else math.inf
 
     return gammas, ratios, g
-
-
-def mu_star(nl: Nonlinearity, alpha, T: float) -> float:
-    """sup_ratio / kappa_alpha, with +inf passed through."""
-    value = sup_ratio(nl).value
-    return value / kappa_alpha(alpha, T)
 
 
 @dataclass(frozen=True)

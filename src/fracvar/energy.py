@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResolutionError
-from .space import SpaceModel, SpectralElement, _check_element
+from .space import SpaceModel
 
 __all__ = [
     "Nonlinearity",
@@ -31,10 +31,6 @@ __all__ = [
     "NONLINEARITY_TAGS",
     "EnergyAssembly",
     "build_assembly",
-    "eval_phi",
-    "eval_psi",
-    "eval_J",
-    "grad_J",
 ]
 
 _FLAG_PROBE = np.concatenate([np.linspace(-10.0, 10.0, 81), [0.0]])
@@ -268,6 +264,14 @@ class EnergyAssembly:
         for name in ("symmetric", "gram"):
             getattr(self, name).setflags(write=False)
 
+    def phi(self, c: np.ndarray) -> float:
+        """Phi of the element with coefficients c: the M_s quadratic form."""
+        return float(c @ self.symmetric @ c)
+
+    def psi(self, synth: np.ndarray, nl: Nonlinearity) -> float:
+        """Psi of the element with nodal values synth: the trapezoid integral of F."""
+        return float(self.space.weights @ np.asarray(nl.F(synth), dtype=float))
+
     def objective(self, mu: float, nl: Nonlinearity):
         """J_mu = Phi - mu Psi and its gradient, as (energy, gradient).
 
@@ -277,15 +281,14 @@ class EnergyAssembly:
         """
         B = self.space.basis
         w = self.space.weights
-        Ms = self.symmetric
-        M_sum = Ms + Ms
-        F, f = nl.F, nl.f
+        M_sum = self.symmetric + self.symmetric
+        phi_of, psi_of, f = self.phi, self.psi, nl.f
 
         def energy(c: np.ndarray, phi: float | None = None):
             synth = c @ B
             if phi is None:
-                phi = float(c @ Ms @ c)
-            return phi - mu * float(w @ np.asarray(F(synth), dtype=float)), synth
+                phi = phi_of(c)
+            return phi - mu * psi_of(synth, nl), synth
 
         def gradient(c: np.ndarray, synth: np.ndarray) -> np.ndarray:
             return M_sum @ c - mu * (B @ (w * np.asarray(f(synth), dtype=float)))
@@ -348,34 +351,3 @@ def build_assembly(model: SpaceModel) -> EnergyAssembly:
 def _pencil_eigvalsh(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the pencil (A, L L') for symmetric A: those of L^-1 A L^-T."""
     return np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, A).T))
-
-
-def eval_phi(u: SpectralElement, assembly: EnergyAssembly) -> float:
-    """Quadratic part of the energy: coeffs' M_s coeffs."""
-    c = _check_element(u, assembly.space)
-    return float(c @ assembly.symmetric @ c)
-
-
-def eval_psi(u: SpectralElement, nl: Nonlinearity, assembly: EnergyAssembly) -> float:
-    """Trapezoid integral of the potential along the synthesized element."""
-    model = assembly.space
-    c = _check_element(u, model)
-    synth = c @ model.basis
-    return float(model.weights @ np.asarray(nl.F(synth), dtype=float))
-
-
-def eval_J(
-    u: SpectralElement, mu: float, nl: Nonlinearity, assembly: EnergyAssembly
-) -> float:
-    """Full energy Phi(u) - mu Psi(u)."""
-    energy, _ = assembly.objective(mu, nl)
-    return energy(_check_element(u, assembly.space))[0]
-
-
-def grad_J(
-    u: SpectralElement, mu: float, nl: Nonlinearity, assembly: EnergyAssembly
-) -> np.ndarray:
-    """Coefficient-space gradient of J, consistent with eval_J."""
-    _, gradient = assembly.objective(mu, nl)
-    c = _check_element(u, assembly.space)
-    return gradient(c, c @ assembly.space.basis)

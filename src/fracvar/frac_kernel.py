@@ -121,6 +121,13 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n + 1)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Composite trapezoid weights on the nodes: h inside, h / 2 at both ends."""
+        w = np.full(self.n + 1, self.h)
+        w[0] = w[-1] = 0.5 * self.h
+        return w
+
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import conditions as cond
 from .codec import JsonCodec
-from .energy import eval_J
 from .errors import FracvarError, HypothesisError
 from .frac_kernel import (
     Grid,
@@ -34,7 +33,7 @@ from .frac_kernel import (
 )
 from .problem import ProblemSpec
 from .solver import SolutionRecord, minimize, restart_pool
-from .space import SpectralElement, embedding_constant, unit_mode
+from .space import embedding_constant, unit_mode
 
 __all__ = [
     "SweepReport",
@@ -186,7 +185,8 @@ def ray_scan(problem: ProblemSpec, mu: float, count: int = 25) -> RayScanReport:
     taus = np.geomspace(0.1, 1.0e3, count)
 
     nl = problem.nonlinearity
-    vals = [eval_J(SpectralElement(t * mode), mu, nl, assembly) for t in taus]
+    energy, _ = assembly.objective(mu, nl)
+    vals = [energy(t * mode)[0] for t in taus]
 
     tail = np.array(vals[-3:])
     slope = None
@@ -348,12 +348,11 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
         IdentityRow("caputo power rule", abs(got - exact) / exact, KV_POWER_TOL)
     )
 
+    w = grid.weights
     worst = 0.0
     for _ in range(3):
         u, _ = _random_smooth(rng, grid, T)
         v, _ = _random_smooth(rng, grid, T)
-        w = np.full(n + 1, h)
-        w[0] = w[-1] = 0.5 * h
         for g in (0.3, 0.5, 0.9):
             lhs = float(w @ (rl_left_integral(GridFunction(grid, u), g).values * v))
             rhs = float(w @ (rl_right_integral(GridFunction(grid, v), g).values * u))

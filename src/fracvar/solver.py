@@ -30,14 +30,7 @@ import numpy as np
 
 from . import conditions as cond
 from .codec import JsonCodec, custom
-from .energy import (
-    NONLINEARITY_TAGS,
-    EnergyAssembly,
-    Nonlinearity,
-    eval_phi,
-    eval_psi,
-    from_tag,
-)
+from .energy import NONLINEARITY_TAGS, EnergyAssembly, Nonlinearity, from_tag
 from .errors import FracvarError
 from .frac_kernel import (
     FracOrder,
@@ -46,7 +39,7 @@ from .frac_kernel import (
     rl_left_integral,
     rl_right_integral,
 )
-from .space import SpaceModel, SpectralElement, embedding_constant, norms, synthesize
+from .space import SpaceModel, SpectralElement, embedding_constant, norms
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -166,15 +159,15 @@ def _descend(
     and stop reason.
     """
     energy, gradient = assembly.objective(mu, nl)
-    Ms = assembly.symmetric
+    phi_of = assembly.phi
     grad_tol, armijo_c, shrink = cfg.grad_tol, cfg.armijo_c, cfg.backtrack_factor
     t_min, t_max = 1e-18 * t0, 1e6 * t0
 
     def project(x: np.ndarray):
-        p = float(x @ Ms @ x)
+        p = phi_of(x)
         if cap <= p < math.inf and p > 0.0:  # an overflowed Phi is kept, and stops the run
             x = x * math.sqrt(cap / p)
-            p = float(x @ Ms @ x)
+            p = phi_of(x)
         return x, p
 
     x, phi = project(x0)
@@ -402,11 +395,12 @@ def minimize(
 
         u = SpectralElement(tuple(float(v) for v in best["x"]))
         nm = norms(u, model)
-        phi = eval_phi(u, assembly)
-        psi = eval_psi(u, nl, assembly)
+        synth = u.coeffs @ model.basis
+        phi = assembly.phi(u.coeffs)
+        psi = assembly.psi(synth, nl)
         energy = phi - mu * psi
         res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model))
-        node_values = tuple(float(v) for v in synthesize(u, model).values)
+        node_values = tuple(float(v) for v in synth)
     converged = bool(best["converged"])
     candidates = tuple({key: r_[key] for key in _CANDIDATE_KEYS} for r_ in runs)
     return SolutionRecord(

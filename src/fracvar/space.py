@@ -155,17 +155,13 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     left = caputo_left(derivs, order).values
     right = caputo_right(derivs, order).values
 
-    weights = np.full(grid.n + 1, grid.h)
-    weights[0] = 0.5 * grid.h
-    weights[-1] = 0.5 * grid.h
-
     return SpaceModel(
         config=config,
         grid=grid,
         basis=basis,
         caputo_left_images=left,
         caputo_right_images=right,
-        weights=weights,
+        weights=grid.weights,
     )
 
 

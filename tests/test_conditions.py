@@ -19,7 +19,6 @@ from fracvar.conditions import (
     example_closed_forms,
     kappa_alpha,
     limit_probes,
-    mu_star,
     sup_ratio,
 )
 from fracvar.energy import (
@@ -72,7 +71,7 @@ def test_generic_optimizer_matches_closed_form_sweep():
         s = float(rng.uniform(2.05, 6.0))
         forms = example_closed_forms(r, s)
         mu_closed = forms.mu_bound(0.75, 1.0)
-        mu_generic = mu_star(power_sum(r, s), 0.75, 1.0)
+        mu_generic = evaluate_conditions(power_sum(r, s), 0.75, 1.0).mu_star
         worst = max(worst, abs(mu_closed - mu_generic) / mu_closed)
         gb = sup_ratio(power_sum(r, s)).gamma_bar
         worst = max(worst, abs(gb - forms.gamma_bar) / forms.gamma_bar)
@@ -137,7 +136,7 @@ def test_interior_peak_sets_the_window_max():
 def test_zero_datum_sup_is_infinite():
     sup = sup_ratio(zero_datum())
     assert math.isinf(sup.value)
-    assert mu_star(zero_datum(), 0.75, 1.0) == math.inf
+    assert evaluate_conditions(zero_datum(), 0.75, 1.0).mu_star == math.inf
 
 
 def test_linear_table_sup_is_constant_ratio():
@@ -152,14 +151,14 @@ def test_linear_table_sup_is_constant_ratio():
 
 
 def test_mu_star_frozen_value():
-    assert mu_star(power_sum(1.5, 3.0), 0.75, 1.0) == pytest.approx(
+    assert evaluate_conditions(power_sum(1.5, 3.0), 0.75, 1.0).mu_star == pytest.approx(
         0.5309120682454849, rel=1e-10
     )
 
 
 def test_mu_star_scales_inversely_with_kappa():
-    m1 = mu_star(power_sum(1.5, 3.0), 0.75, 1.0)
-    m2 = mu_star(power_sum(1.5, 3.0), 0.75, 2.0)
+    m1 = evaluate_conditions(power_sum(1.5, 3.0), 0.75, 1.0).mu_star
+    m2 = evaluate_conditions(power_sum(1.5, 3.0), 0.75, 2.0).mu_star
     k1 = kappa_alpha(0.75, 1.0)
     k2 = kappa_alpha(0.75, 2.0)
     assert m1 * k1 == pytest.approx(m2 * k2, rel=1e-9)
@@ -278,7 +277,7 @@ def test_report_matches_standalone_quantities_exactly(name):
     assert rep.sup_ratio == sup.value
     assert rep.gamma_bar == sup.gamma_bar
     assert rep.sup_at_boundary == sup.at_boundary
-    assert rep.mu_star == mu_star(nl, 0.7, 1.5)
+    assert rep.mu_star == sup.value / kappa_alpha(0.7, 1.5)
     if nl.nonnegative:
         assert rep.lambda_right_endpoint == rep.mu_star
     else:

@@ -4,7 +4,9 @@ order-one oracle comparison, and the weak residual certificate."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -15,15 +17,13 @@ from fracvar.conditions import evaluate_conditions, kappa_alpha
 from fracvar.energy import (
     Nonlinearity,
     affine_power,
-    eval_J,
-    eval_phi,
-    grad_J,
     power_sum,
     sqrt_plus,
     table_datum,
     zero_datum,
 )
 from fracvar.errors import HypothesisError
+from fracvar.harness import ray_scan
 from fracvar.problem import ProblemSpec
 from fracvar.solver import (
     SolverConfig,
@@ -80,10 +80,9 @@ def test_sublevel_implies_sup_norm_bound(model_mid, assembly_mid):
     rng = np.random.default_rng(14)
     for _ in range(100):
         c = decayed_coeffs(rng, 32, amp=float(rng.uniform(0.1, 2.0)))
-        u = SpectralElement(c)
-        phi = eval_phi(u, assembly_mid)
+        phi = assembly_mid.phi(c)
         scaled = SpectralElement(c * math.sqrt(0.999 * r / phi))
-        assert eval_phi(scaled, assembly_mid) < r
+        assert assembly_mid.phi(scaled.coeffs) < r
         assert norms(scaled, model_mid).norm_inf < gb
 
 
@@ -141,20 +140,38 @@ def test_minimize_rejects_negative_mu(problem_mid):
         minimize(problem_mid, -0.1)
 
 
+# mu = 100 puts the signed datum's minimizer away from zero (mu = 0.25 gives the zero record)
+@pytest.mark.parametrize("config, mu", [("example.json", 0.25), ("signed_table.json", 100.0)])
+def test_record_and_ray_scan_read_the_assembly(config, mu):
+    # each energy number has one formula: the record's phi, psi and energy and
+    # the ray scan's values are the assembly's and the objective's, bit for bit
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
+    problem = ProblemSpec.from_config(json.loads(path.read_text()))
+    model, assembly = problem.build()
+    nl = problem.nonlinearity
+    rec = minimize(problem, mu, model=model, assembly=assembly)
+    assert rec.nontrivial
+    c = rec.coeffs.coeffs
+    energy, _ = assembly.objective(mu, nl)
+    J, synth = energy(c)
+    assert rec.phi == assembly.phi(c)
+    assert rec.psi == assembly.psi(synth, nl)
+    assert rec.energy == J
+    scan = ray_scan(problem, mu, count=7)
+    e1 = np.eye(problem.k_max)[0]
+    assert scan.values == tuple(energy(t * e1)[0] for t in scan.taus)
+
+
 def test_solution_is_a_local_minimum(problem_mid, sol_mid, assembly_mid):
     # J must not drop by more than the stationarity budget along random rays
-    J0 = eval_J(sol_mid.coeffs, 0.25, problem_mid.nonlinearity, assembly_mid)
+    energy, _ = assembly_mid.objective(0.25, problem_mid.nonlinearity)
+    J0 = energy(sol_mid.coeffs.coeffs)[0]
     rng = np.random.default_rng(15)
     delta = 1e-4
     for _ in range(20):
         v = rng.standard_normal(32)
         v /= np.linalg.norm(v)
-        J1 = eval_J(
-            SpectralElement(sol_mid.coeffs.coeffs + delta * v),
-            0.25,
-            problem_mid.nonlinearity,
-            assembly_mid,
-        )
+        J1 = energy(sol_mid.coeffs.coeffs + delta * v)[0]
         assert J1 >= J0 - 1e-8
 
 
@@ -260,9 +277,10 @@ def _assert_matches_oracle(x0, mu, nl, assembly, cap, cfg, t0):
     assert run["iters"] == iters
     assert run["phi"] == float(x @ assembly.symmetric @ x)
     # the energy layer's objective is the one the descent used
-    u = SpectralElement(run["x"])
-    assert eval_J(u, mu, nl, assembly) == J
-    assert np.array_equal(grad_J(u, mu, nl, assembly), g)
+    energy, gradient = assembly.objective(mu, nl)
+    J_obj, synth = energy(run["x"])
+    assert J_obj == J
+    assert np.array_equal(gradient(run["x"], synth), g)
     return run
 
 

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracvar.energy import build_assembly, eval_phi
+from fracvar.energy import build_assembly
 from fracvar.frac_kernel import euler_gamma
 from fracvar.space import (
     SpaceConfig,
@@ -158,7 +158,7 @@ def test_audit_clean_at_mid_resolution():
         # flat to steeply decaying spectra: flat ones come closest to the bounds
         u = SpectralElement(decayed_coeffs(rng, 16, power=float(trial % 4)))
         na, nl2, ninf = norms(u, model)
-        phi = eval_phi(u, asm)
+        phi = asm.phi(u.coeffs)
         worst = np.maximum(worst, [nl2 / (l2_const * na), ninf / (c * na), cos_a * phi / na**2])
         least = min(least, phi / (cos_a * na * na))
     exact = np.array([rep.tightest_ratio_a, rep.tightest_ratio_b, rep.tightest_ratio_c])
