@@ -6,12 +6,19 @@ quadrature is a product-trapezoidal rule: on every panel the weakly
 singular kernel (t - s)**(gamma - 1) is integrated in closed form against
 the piecewise-linear interpolant of the data, so the singularity never
 meets a sampled integrand.  Evaluating an operator at all n + 1 nodes
-keeps the first n - 1 outputs of one length-(n-1) convolution, no FFT.
-A stack of functions on one grid shares one kernel; a large stack forms
-only those kept outputs, about n**2 / 2 multiply-adds per function, and
-a small one forms the full convolution, about n**2.  Every choice gives
-the bits of a per-row convolution, which the benchmark's references rely
-on; _abel_left says how the loop is chosen and why the bits agree.
+keeps the first n - 1 outputs of one length-(n-1) convolution.  The
+operators below form it directly: a stack of functions on one grid
+shares one kernel; a large stack forms only those kept outputs, about
+n**2 / 2 multiply-adds per function, and a small one forms the full
+convolution, about n**2.  Every choice gives the bits of a per-row
+convolution, which the benchmark's references rely on; _abel_left says
+how the loop is chosen and why the bits agree.
+
+abel_left_fft takes the same convolution by FFT, O(n log n) per
+function and equal to roundoff.  The weak residual
+(solver.weak_residual_values) uses it: its map feeds no solve.
+build_space and kernel_verify stay on the direct sum, because the
+benchmark's references pin their bits (ROADMAP item 3 moves them).
 
 The order-alpha Caputo derivative consumes samples of u' rather than u;
 at alpha = 1 both one-sided derivatives reduce exactly to +/- u' and the
@@ -34,6 +41,7 @@ __all__ = [
     "euler_gamma",
     "rl_left_integral",
     "rl_right_integral",
+    "abel_left_fft",
     "caputo_left",
     "caputo_right",
     "cumulative_trapezoid",
@@ -207,7 +215,28 @@ _STACKED_MIN_SAMPLES = 60_000
 _TILE_BYTES = 1 << 20
 
 
-def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
+def _product_weights(n: int, gamma: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The product-trapezoidal rule's kernel c_m, boundary weights w0_i and scale.
+
+    Returns (c, w0, h**g / Gamma(g + 2)) with c[m - 1] = c_m and
+    w0[i - 1] = w0_i for m, i = 1..n; _product_trapezoid says how they
+    combine.  c_m is a second difference of m**(g+1); it is evaluated
+    through expm1/log1p because the plain form cancels ~8 digits at
+    m ~ 1e4.
+    """
+    gp1 = gamma + 1.0
+    i = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        shrink = np.expm1(gp1 * np.log1p(-1.0 / i))  # i**(g+1) term, relative
+        grow = np.expm1(gp1 * np.log1p(1.0 / i))
+    # c_m = (m+1)**(g+1) - 2 m**(g+1) + (m-1)**(g+1), stabilized
+    conv_kernel = i ** gp1 * (grow + shrink)
+    # w0_i = (i-1)**(g+1) - i**g (i - g - 1), stabilized the same way
+    boundary = gp1 * i ** gamma + i ** gp1 * shrink
+    return conv_kernel, boundary, h ** gamma / euler_gamma(gamma + 2.0)
+
+
+def _product_trapezoid(values: np.ndarray, gamma: float, h: float, convolve) -> np.ndarray:
     """Product-trapezoidal left Abel integral at every node, row by row.
 
     values holds one function (shape (n+1,)) or a stack of functions on
@@ -219,9 +248,23 @@ def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
 
         out[i] = h**g / Gamma(g + 2) * (w0_i u_0 + sum_j c_{i-j} u_j + u_i)
 
-    c_m is a second difference of m**(g+1); it is evaluated through
-    expm1/log1p because the plain form cancels ~8 digits at m ~ 1e4.
-    The kernel is computed once per call and shared by every row.
+    The weights are computed once per call and shared by every row.
+    convolve(body, kernel) returns np.convolve(row, kernel)[:m] for every
+    row of the (rows, m) body, m = n - 1: the kept outputs of the sum.
+    """
+    stack = np.atleast_2d(values)
+    n = stack.shape[1] - 1
+    conv_kernel, boundary, scale = _product_weights(n, gamma, h)
+    out = np.zeros(stack.shape)
+    acc = stack[:, 1:] + boundary * stack[:, :1]
+    if n >= 2:
+        acc[:, 1:] += convolve(stack[:, 1:n], conv_kernel[: n - 1])
+    out[:, 1:] = scale * acc
+    return out.reshape(np.shape(values))
+
+
+def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
+    """_product_trapezoid with the sum formed directly, bit for bit per row.
 
     Cost and loop choice.  Each kept convolution output is one BLAS dot
     of a row prefix with the tail of the reversed kernel.  A stack of
@@ -235,36 +278,28 @@ def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
     Bit-identity.  np.convolve computes each output with the same dtype
     dot function (cblas_ddot) on the same operands as np.vecdot, so both
     loops give the bits the plain per-row convolution gives, whatever the
-    stack size (tests check 1 and 2 BLAS threads).  This is a contract:
-    the benchmark's phi/psi references come from solves that stop short
-    of their minimizer, and a roundoff change in the Caputo images moves
-    them past their 1e-6 tolerance (ROADMAP items 2-3; the
-    perfbench/reference.json FOUND in CHANGES.md).  An FFT or GEMM path
-    replaces the per-node loop only together with re-recorded references.
+    stack size (tests check 1 and 2 BLAS threads).  The benchmark pins
+    those bits through two callers.  build_space's Caputo images feed
+    phi and psi, whose references come from solves that stop short of
+    their minimizer, so a roundoff change moves them past their 1e-6
+    tolerance (ROADMAP items 2-3; the perfbench/reference.json FOUND in
+    CHANGES.md); kernel_verify's power-rule and linearity rows carry
+    about 1e-15 of slack.  ROADMAP item 3 moves both to abel_left_fft
+    with re-recorded references, and deletes _kept_convolution,
+    _per_row_convolution, _STACKED_MIN_SAMPLES, _TILE_BYTES and this
+    loop choice.
     """
-    stack = np.atleast_2d(values)
-    n = stack.shape[1] - 1
-    gp1 = gamma + 1.0
-    out = np.zeros(stack.shape)
+    if np.size(values) < _STACKED_MIN_SAMPLES:
+        convolve = _per_row_convolution
+    else:
+        convolve = _kept_convolution
+    return _product_trapezoid(values, gamma, h, convolve)
 
-    i = np.arange(1, n + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        shrink = np.expm1(gp1 * np.log1p(-1.0 / i))  # i**(g+1) term, relative
-        grow = np.expm1(gp1 * np.log1p(1.0 / i))
-    # c_m = (m+1)**(g+1) - 2 m**(g+1) + (m-1)**(g+1), stabilized
-    conv_kernel = i ** gp1 * (grow + shrink)
-    # w0_i = (i-1)**(g+1) - i**g (i - g - 1), stabilized the same way
-    boundary = gp1 * i ** gamma + i ** gp1 * shrink
 
-    acc = stack[:, 1:] + boundary * stack[:, :1]
-    if n >= 2:
-        body, kernel = stack[:, 1:n], conv_kernel[: n - 1]
-        if stack.size < _STACKED_MIN_SAMPLES:
-            acc[:, 1:] += [np.convolve(row, kernel)[: n - 1] for row in body]
-        else:
-            acc[:, 1:] += _kept_convolution(body, kernel)
-    out[:, 1:] = (h ** gamma / euler_gamma(gamma + 2.0)) * acc
-    return out.reshape(np.shape(values))
+def _per_row_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """np.convolve(row, kernel)[:m] for every row of body, one full convolution each."""
+    m = body.shape[1]
+    return np.array([np.convolve(row, kernel)[:m] for row in body])
 
 
 def _kept_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -285,6 +320,32 @@ def _kept_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         for k in range(m):
             np.vecdot(block[:, : k + 1], rev[m - 1 - k :], out=dest[:, k])
     return kept
+
+
+def _fft_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """np.convolve(row, kernel)[:m] for every row of body, to roundoff, by FFT.
+
+    Both are zero-padded to L = 2**ceil(log2(2m - 1)), long enough that
+    the circular convolution does not wrap into the kept outputs.  A zero
+    row gives exact zeros.
+    """
+    m = body.shape[1]
+    L = 1 << (2 * m - 2).bit_length()
+    spectrum = np.fft.rfft(body, L, axis=1) * np.fft.rfft(kernel, L)
+    return np.fft.irfft(spectrum, L, axis=1)[:, :m]
+
+
+def abel_left_fft(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
+    """The left Abel integral of every row by the fast product quadrature.
+
+    The rule and weights of rl_left_integral, with the convolution taken
+    by FFT (Hairer, Lubich and Schlichte 1985): O(n log n) per row, and
+    equal to the direct sum to roundoff, not bit for bit (tests hold it
+    within 1e-14 of max|value|).  values is shaped like
+    GridFunction.values; gamma > 0 is not checked.  A right integral is
+    the left one of the reversed samples, reversed back.
+    """
+    return _product_trapezoid(values, gamma, h, _fft_convolution)
 
 
 def rl_left_integral(u: GridFunction, order) -> GridFunction:
