@@ -94,9 +94,7 @@ def run_sweep(
     whole sweep is a pure function of (problem, range, count).
     Geometric spacing concentrates points near small mu, where the
     norm-decay behavior lives.  The restarts of every point run on one
-    restart_pool, opened here and closed before return; a script that
-    calls run_sweep needs an `if __name__ == "__main__":` guard, since
-    the spawned workers re-import it.
+    restart_pool, opened here and closed before return.
     """
     if count < 4:
         raise ValueError(f"sweep needs count >= 4, got {count}")

@@ -7,7 +7,7 @@ positive-definite quadratic form of the coefficients.  Verification is
 separate from search: the weak residual measures deviation of the
 reconstructed first-order map from a constant, and certify() turns one
 record into explicit pass/fail certificates.  A sweep runs the restarts
-of each point on a pool of spawned worker processes (restart_pool); the
+of each point on a pool of forked worker processes (restart_pool); the
 records are the serial ones bit for bit.
 """
 
@@ -17,9 +17,6 @@ import contextlib
 import math
 import multiprocessing
 import os
-import pickle
-import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -30,7 +27,7 @@ import numpy as np
 
 from . import conditions as cond
 from .codec import JsonCodec, custom
-from .energy import NONLINEARITY_TAGS, EnergyAssembly, Nonlinearity, from_tag
+from .energy import EnergyAssembly, Nonlinearity
 from .errors import FracvarError
 from .frac_kernel import FracOrder, abel_left_fft, cumulative_trapezoid
 # imported but not called: perfbench/tracing.py patches
@@ -218,14 +215,8 @@ def _descend(
     return dict(x=x, energy=Jx, phi=phi, grad_norm=gn, iters=it, backtracks=backtracks, stop=stop)
 
 
-# the assembly and datum a restart-pool worker descends on, set once by _init_worker
+# the assembly and datum a restart-pool worker descends on, inherited at its fork
 _worker: tuple[EnergyAssembly, Nonlinearity] | None = None
-
-
-def _init_worker(assembly_path: str, kind: str, params: dict) -> None:
-    global _worker
-    with open(assembly_path, "rb") as fh:
-        _worker = (pickle.load(fh), from_tag(kind, **params))
 
 
 def _pooled_descend(x0, mu, cap, cfg, t0) -> dict:
@@ -234,19 +225,12 @@ def _pooled_descend(x0, mu, cap, cfg, t0) -> dict:
 
 
 class _RestartPool(ProcessPoolExecutor):
-    """Spawned workers that each hold one assembly, read from assembly_path, and one datum."""
+    """Forked workers that each hold the parent's assembly and datum objects."""
 
-    def __init__(
-        self, workers: int, assembly: EnergyAssembly, nl: Nonlinearity, assembly_path: str
-    ) -> None:
-        super().__init__(
-            workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker,
-            initargs=(assembly_path, nl.kind, nl.params),
-        )
+    def __init__(self, workers: int, assembly: EnergyAssembly, nl: Nonlinearity) -> None:
+        super().__init__(workers, mp_context=multiprocessing.get_context("fork"))
         self.assembly = assembly
-        self.datum = (nl.kind, nl.params)
+        self.datum = nl
 
 
 def _available_cpus() -> int:
@@ -260,59 +244,46 @@ def _available_cpus() -> int:
 def restart_pool(problem: "ProblemSpec", assembly: EnergyAssembly):
     """A pool for minimize's restarts on problem's datum and assembly, or None.
 
-    It has min(restarts, available CPUs) spawned workers.  Each loads the
-    assembly once, from a pickle in a temporary directory, and rebuilds
-    the datum from its catalog tag, since f and F are closures that do
-    not pickle.  The assembly stays out of the start-up message because
-    spawn writes that message whole while it holds the child's end of
-    the pipe: a worker that dies importing the main script, before it
-    reads past the pipe's buffer, would block the parent for good.
+    It has min(restarts, available CPUs) workers, forked at the warm-up
+    submit below (a fork-context executor forks them all at its first
+    submit), so each inherits the assembly and the datum, closures
+    included, through _worker.
 
-    None, for serial restarts, when that is one worker, the datum is
-    outside NONLINEARITY_TAGS, the caller is a daemonic process, which
-    may not start children, or the main module has no file to re-import
-    (code read from standard input).  Workers inherit the environment,
-    BLAS thread cap included, and are joined when the block exits, also
-    when it raises.
+    None, for serial restarts, when that is one worker, the platform
+    cannot fork, or the caller is a daemonic process, which may not
+    start children.  Workers inherit the parent's BLAS thread count, and
+    are joined when the block exits, also when it raises.
     """
-    nl = problem.nonlinearity
+    global _worker
     workers = min(problem.solver.restarts, _available_cpus())
-    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
     if (
         workers < 2
-        or nl.kind not in NONLINEARITY_TAGS
+        or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
-        or not (main_file is None or os.path.exists(main_file))
     ):
         yield None
         return
-    with tempfile.TemporaryDirectory(prefix="fracvar-pool-") as tmp:
-        path = os.path.join(tmp, "assembly.pickle")
-        with open(path, "wb") as fh:
-            pickle.dump(assembly, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        pool = _RestartPool(workers, assembly, nl, path)
-        try:
-            with _worker_deaths():
-                # one task per worker starts them all here, so their start-up
-                # is the pool's and not the first restart's
-                for started in [pool.submit(os.getpid) for _ in range(workers)]:
-                    started.result()
-            yield pool
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = _RestartPool(workers, assembly, problem.nonlinearity)
+    previous, _worker = _worker, (assembly, problem.nonlinearity)
+    try:
+        with _worker_deaths():
+            # one task per worker starts them all here, so their start-up
+            # is the pool's and not the first restart's
+            for started in [pool.submit(os.getpid) for _ in range(workers)]:
+                started.result()
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _worker = previous
 
 
 @contextlib.contextmanager
 def _worker_deaths():
-    """Turn a dead restart worker into a FracvarError naming the likely cause."""
+    """Turn a dead restart worker into a FracvarError."""
     try:
         yield
     except BrokenProcessPool as exc:
-        raise FracvarError(
-            f"a restart worker process died ({exc}). Workers are spawned and re-import "
-            "the main script, so a script that calls run_sweep must make that call "
-            'under `if __name__ == "__main__":`'
-        ) from exc
+        raise FracvarError(f"a restart worker process died ({exc})") from exc
 
 
 def minimize(
@@ -362,8 +333,7 @@ def minimize(
     if executor is None:
         runs = [_descend(x0, mu, nl, assembly, cap, cfg, t0) for x0 in starts]
     else:
-        datum = (nl.kind, nl.params)
-        if getattr(executor, "assembly", None) is not assembly or executor.datum != datum:
+        if getattr(executor, "assembly", None) is not assembly or executor.datum is not nl:
             raise ValueError("executor must come from restart_pool on this assembly and datum")
         with _worker_deaths():  # map returns the runs in restart order
             runs = list(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import multiprocessing
 import os
 import signal
@@ -24,6 +25,7 @@ import pytest
 import fracvar
 from fracvar import harness, solver
 from fracvar.energy import Nonlinearity, affine_power, power_sum, table_datum
+from fracvar.errors import FracvarError
 from fracvar.problem import ProblemSpec
 from fracvar.solver import minimize, restart_pool
 
@@ -64,7 +66,8 @@ def no_spawn(monkeypatch):
     def refuse(self):
         raise AssertionError("a process was started")
 
-    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", refuse)
+    for process in (multiprocessing.context.SpawnProcess, multiprocessing.context.ForkProcess):
+        monkeypatch.setattr(process, "start", refuse)
 
 
 def _problem(nl: Nonlinearity) -> ProblemSpec:
@@ -122,12 +125,12 @@ def test_one_cpu_sweeps_serially_without_a_process(monkeypatch, executors, no_sp
     assert sweep.negativity_verdict
 
 
-@pytest.mark.parametrize("caller", ["daemonic process", "main read from stdin"])
+@pytest.mark.parametrize("caller", ["daemonic process", "no fork start method"])
 def test_callers_that_cannot_spawn_sweep_serially(caller, monkeypatch, executors, no_spawn):
     if caller == "daemonic process":
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     else:
-        monkeypatch.setattr(sys.modules["__main__"], "__file__", "<stdin>", raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with _deadline():
         harness.run_sweep(_problem(_DATA["power_sum"]), 0.05, 0.5, 4)
     assert executors == [None] * 4
@@ -138,8 +141,8 @@ def test_available_cpus_reads_the_affinity_mask(monkeypatch):
     assert solver._available_cpus() == 1
 
 
-def test_datum_outside_the_catalog_starts_no_pool(monkeypatch, no_spawn):
-    # f = x has closures but no catalog tag, so a worker could not rebuild it
+def test_datum_outside_the_catalog_gets_a_pool(monkeypatch):
+    # f = x has closures but no catalog tag; a forked worker holds them as they are
     linear = Nonlinearity(
         "linear",
         lambda x: np.asarray(x, dtype=float),
@@ -150,12 +153,14 @@ def test_datum_outside_the_catalog_starts_no_pool(monkeypatch, no_spawn):
     monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
     problem = ProblemSpec(alpha=1.0, T=1.0, n=128, k_max=8, nonlinearity=linear)
     _, assembly = problem.build()
+    solve = functools.partial(
+        minimize, problem, 5.0, model=assembly.space, assembly=assembly, gamma_bar=1.0
+    )
     with _deadline(), restart_pool(problem, assembly) as pool:
-        assert pool is None
-        sol = minimize(
-            problem, 5.0, model=assembly.space, assembly=assembly, gamma_bar=1.0, executor=pool
-        )
-    assert sol.norm_alpha == 0.0
+        assert pool is not None
+        pooled = solve(executor=pool)
+    assert multiprocessing.active_children() == []
+    assert pooled.json_str() == solve().json_str()
 
 
 def test_executor_must_match_the_assembly(monkeypatch):
@@ -170,20 +175,31 @@ def test_executor_must_match_the_assembly(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_dead_worker_raises_fracvar_error(monkeypatch):
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_descend", lambda *args: os._exit(3))
+    with _deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
+        harness.run_sweep(_problem(_DATA["power_sum"]), 0.05, 0.5, 4)
+    assert multiprocessing.active_children() == []
+
+
 _UNGUARDED = """\
-from fracvar import solver
-from fracvar.harness import run_sweep
+from fracvar import harness, solver
 from fracvar.problem import ProblemSpec
 
 solver._available_cpus = lambda: 2
+executors = []
+solve = harness.minimize
+harness.minimize = lambda *args, **kw: executors.append(kw["executor"]) or solve(*args, **kw)
 spec = ProblemSpec.from_config({"alpha": 0.75, "T": 1.0, "n": 256, "k_max": 16,
                                 "nonlinearity": {"kind": "power_sum", "r": 1.5, "s": 3.0}})
-run_sweep(spec, 0.05, 0.5, 4)
+harness.run_sweep(spec, 0.05, 0.5, 4)
+assert len(executors) == 4 and None not in executors
 print("finished")
 """
 
 
-def test_script_without_main_guard_fails_fast_naming_the_guard(tmp_path):
+def test_script_without_main_guard_sweeps_on_the_pool(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(textwrap.dedent(_UNGUARDED))
     src = str(Path(fracvar.__file__).resolve().parent.parent)
@@ -206,10 +222,8 @@ def test_script_without_main_guard_fails_fast_naming_the_guard(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.kill()
     assert time.monotonic() - started < _DEADLINE_S
-    assert proc.returncode != 0
-    assert "finished" not in out
-    assert "FracvarError: a restart worker process died" in err
-    assert 'if __name__ == "__main__":' in err
+    assert proc.returncode == 0, err
+    assert "finished" in out
     assert not leftover, "the script left a process behind"
 
 
