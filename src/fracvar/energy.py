@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _FLAG_PROBE = np.concatenate([np.linspace(-10.0, 10.0, 81), [0.0]])
+_FLAG_PROBE.setflags(write=False)  # every datum's f reads it
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from .frac_kernel import (
     rl_right_integral,
 )
 from .problem import ProblemSpec
-from .solver import SolutionRecord, minimize, restart_pool
+from .solver import SolutionRecord, _checked_mu, minimize, restart_pool
 from .space import embedding_constant, unit_mode
 
 __all__ = [
@@ -94,7 +94,8 @@ def run_sweep(
     whole sweep is a pure function of (problem, range, count).
     Geometric spacing concentrates points near small mu, where the
     norm-decay behavior lives.  The restarts of every point run on one
-    restart_pool, opened here and closed before return.
+    restart_pool, opened here and closed before return, whose workers
+    hold this problem's data even while another thread sweeps.
     """
     if count < 4:
         raise ValueError(f"sweep needs count >= 4, got {count}")
@@ -177,7 +178,7 @@ def ray_scan(problem: ProblemSpec, mu: float, count: int = 25) -> RayScanReport:
     """
     if count < 3:
         raise ValueError(f"ray scan needs count >= 3, got {count}")
-    mu = float(mu)
+    mu = _checked_mu(mu)
     _, assembly = problem.build()
     mode = unit_mode(problem.k_max, 1).coeffs
     taus = np.geomspace(0.1, 1.0e3, count)

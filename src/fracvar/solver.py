@@ -7,8 +7,9 @@ positive-definite quadratic form of the coefficients.  Verification is
 separate from search: the weak residual measures deviation of the
 reconstructed first-order map from a constant, and certify() turns one
 record into explicit pass/fail certificates.  A sweep runs the restarts
-of each point on a pool of forked worker processes (restart_pool); the
-records are the serial ones bit for bit.
+of each point on a pool of forked worker processes (restart_pool), each
+given its assembly and datum by the pool's initializer; the records are
+the serial ones bit for bit.
 """
 
 from __future__ import annotations
@@ -215,8 +216,13 @@ def _descend(
     return dict(x=x, energy=Jx, phi=phi, grad_norm=gn, iters=it, backtracks=backtracks, stop=stop)
 
 
-# the assembly and datum a restart-pool worker descends on, inherited at its fork
+# the assembly and datum a restart-pool worker descends on, set in the worker by _hold
 _worker: tuple[EnergyAssembly, Nonlinearity] | None = None
+
+
+def _hold(assembly: EnergyAssembly, nl: Nonlinearity) -> None:
+    global _worker
+    _worker = (assembly, nl)
 
 
 def _pooled_descend(x0, mu, cap, cfg, t0) -> dict:
@@ -225,12 +231,16 @@ def _pooled_descend(x0, mu, cap, cfg, t0) -> dict:
 
 
 class _RestartPool(ProcessPoolExecutor):
-    """Forked workers that each hold the parent's assembly and datum objects."""
+    """Forked workers, each handed this assembly and datum, unpickled, by _hold."""
 
     def __init__(self, workers: int, assembly: EnergyAssembly, nl: Nonlinearity) -> None:
-        super().__init__(workers, mp_context=multiprocessing.get_context("fork"))
+        fork = multiprocessing.get_context("fork")
+        super().__init__(workers, fork, initializer=_hold, initargs=(assembly, nl))
         self.assembly = assembly
         self.datum = nl
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown(cancel_futures=True)
 
 
 def _available_cpus() -> int:
@@ -240,50 +250,34 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
 def restart_pool(problem: "ProblemSpec", assembly: EnergyAssembly):
     """A pool for minimize's restarts on problem's datum and assembly, or None.
 
-    It has min(restarts, available CPUs) workers, forked at the warm-up
-    submit below (a fork-context executor forks them all at its first
-    submit), so each inherits the assembly and the datum, closures
-    included, through _worker.
+    Use it in a with block.  It has min(restarts, available CPUs) workers,
+    all forked at its first submit, each holding this pool's data, so
+    pools in two threads never mix.
 
     None, for serial restarts, when that is one worker, the platform
     cannot fork, or the caller is a daemonic process, which may not
     start children.  Workers inherit the parent's BLAS thread count, and
     are joined when the block exits, also when it raises.
     """
-    global _worker
     workers = min(problem.solver.restarts, _available_cpus())
     if (
         workers < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        yield None
-        return
-    pool = _RestartPool(workers, assembly, problem.nonlinearity)
-    previous, _worker = _worker, (assembly, problem.nonlinearity)
-    try:
-        with _worker_deaths():
-            # one task per worker starts them all here, so their start-up
-            # is the pool's and not the first restart's
-            for started in [pool.submit(os.getpid) for _ in range(workers)]:
-                started.result()
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _worker = previous
+        return contextlib.nullcontext()
+    return _RestartPool(workers, assembly, problem.nonlinearity)
 
 
-@contextlib.contextmanager
-def _worker_deaths():
-    """Turn a dead restart worker into a FracvarError."""
-    try:
-        yield
-    except BrokenProcessPool as exc:
-        raise FracvarError(f"a restart worker process died ({exc})") from exc
+def _checked_mu(mu) -> float:
+    """mu as a float; ValueError unless it is finite and nonnegative."""
+    mu = float(mu)
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
+    return mu
 
 
 def minimize(
@@ -307,9 +301,7 @@ def minimize(
     points.  executor, a pool from restart_pool on this assembly and
     datum, runs the restarts in parallel; the record is the same bytes.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
+    mu = _checked_mu(mu)
     cfg = problem.solver
     if model is None or assembly is None:
         model, assembly = problem.build()
@@ -335,12 +327,14 @@ def minimize(
     else:
         if getattr(executor, "assembly", None) is not assembly or executor.datum is not nl:
             raise ValueError("executor must come from restart_pool on this assembly and datum")
-        with _worker_deaths():  # map returns the runs in restart order
+        try:  # map returns the runs in restart order
             runs = list(
                 executor.map(
                     _pooled_descend, starts, repeat(mu), repeat(cap), repeat(cfg), repeat(t0)
                 )
             )
+        except BrokenProcessPool as exc:
+            raise FracvarError(f"a restart worker process died ({exc})") from exc
     with np.errstate(all="ignore"):  # a nonfinite restart's own numbers may overflow
         for run in runs:
             x = run["x"]

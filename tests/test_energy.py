@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracvar.energy import (
+    _FLAG_PROBE,
     Nonlinearity,
     affine_power,
     build_assembly,
@@ -120,6 +121,21 @@ def test_table_nonnegativity_inference():
     signed = table_datum([-2.0, 0.0, 2.0], [-4.0, 0.0, 4.0])
     with pytest.raises(ValueError, match="claims f >= 0"):
         Nonlinearity("table", signed.f, signed.F, True, True, signed.params)
+
+
+def test_datum_cannot_move_the_flag_probe_grid():
+    grid = np.concatenate([np.linspace(-10.0, 10.0, 81), [0.0]])
+
+    def shifts_its_argument(x):
+        x += 100.0
+        return x
+
+    with pytest.raises(ValueError, match="read-only"):
+        Nonlinearity("shifting", shifts_its_argument, lambda x: x * x / 2.0, False, False)
+    assert np.array_equal(_FLAG_PROBE, grid)
+    # on the unmoved grid f = x - 50 is still seen to go negative
+    with pytest.raises(ValueError, match="claims f >= 0"):
+        Nonlinearity("offset", lambda x: x - 50.0, lambda x: x * x / 2.0 - 50.0 * x, True, False)
 
 
 def test_table_derivative_matches_data():

@@ -523,6 +523,23 @@ def test_cli_ray_scan_takes_no_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu", ["nan", "-1", "inf"])
+def test_cli_ray_scan_rejects_a_bad_mu_before_building(tmp_path, capsys, monkeypatch, mu):
+    # minimize's own check: NaN would print invalid JSON, -1 a flipped energy, inf -inf
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+
+    def no_build(self):
+        raise AssertionError("the problem was built before mu was checked")
+
+    monkeypatch.setattr(ProblemSpec, "build", no_build)
+    rc = cli_main(["ray-scan", "--config", str(cfg), "--mu", mu, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert "fracvar: error: mu must be finite and nonnegative" in err
+
+
 @pytest.mark.parametrize("key", ["armijo_c", "backtrack_factor", "sublevel_margin"])
 def test_cli_rejects_solver_constants_in_config(tmp_path, capsys, key):
     cfg = tmp_path / "p.json"

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -173,6 +174,56 @@ def test_executor_must_match_the_assembly(monkeypatch):
         with pytest.raises(ValueError, match="restart_pool"):
             minimize(problem, 0.1, model=model, assembly=other, executor=pool)
     assert multiprocessing.active_children() == []
+
+
+def test_pools_in_two_threads_keep_their_own_data(monkeypatch):
+    # the main thread's first submit waits until thread B has opened a pool on
+    # another datum and solved on it; its workers must still hold its own data
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
+    a_held, b_solved, a_done = threading.Event(), threading.Event(), threading.Event()
+    submit = solver._RestartPool.submit
+
+    def hold_first_main_submit(self, *args, **kwargs):
+        if threading.current_thread() is threading.main_thread() and not a_held.is_set():
+            a_held.set()
+            assert b_solved.wait(_DEADLINE_S / 2), "thread B never solved"
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._RestartPool, "submit", hold_first_main_submit)
+    failures = []
+
+    def solve_b():
+        try:
+            assert a_held.wait(_DEADLINE_S / 2), "the main thread never submitted"
+            other = _problem(_DATA["affine_power"])
+            model, assembly = other.build()
+            with restart_pool(other, assembly) as pool:
+                assert pool is not None
+                minimize(other, 0.1, model=model, assembly=assembly, executor=pool)
+                b_solved.set()
+                a_done.wait(_DEADLINE_S / 2)  # keep this pool open while A solves
+        except Exception as exc:
+            failures.append(exc)
+        finally:
+            b_solved.set()
+
+    problem = _problem(_DATA["power_sum"])
+    model, assembly = problem.build()
+    solve = functools.partial(minimize, problem, 0.1, model=model, assembly=assembly)
+    b = threading.Thread(target=solve_b)
+    b.start()
+    with _deadline():
+        try:
+            with restart_pool(problem, assembly) as pool:
+                assert pool is not None
+                pooled = solve(executor=pool)
+        finally:
+            a_done.set()
+            b.join(_DEADLINE_S / 2)
+    assert not b.is_alive()
+    assert failures == []
+    assert multiprocessing.active_children() == []
+    assert pooled.json_str() == solve().json_str()
 
 
 def test_dead_worker_raises_fracvar_error(monkeypatch):
