@@ -94,8 +94,9 @@ def run_sweep(
     whole sweep is a pure function of (problem, range, count).
     Geometric spacing concentrates points near small mu, where the
     norm-decay behavior lives.  The restarts of every point run on one
-    restart_pool, opened here and closed before return, whose workers
-    hold this problem's data even while another thread sweeps.
+    restart_pool, opened here once rather than by each minimize call and
+    closed before return, whose workers hold this problem's data even
+    while another thread sweeps.
     """
     if count < 4:
         raise ValueError(f"sweep needs count >= 4, got {count}")

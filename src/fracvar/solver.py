@@ -6,10 +6,11 @@ backtracking; the projection is a radial rescale, exact because Phi is a
 positive-definite quadratic form of the coefficients.  Verification is
 separate from search: the weak residual measures deviation of the
 reconstructed first-order map from a constant, and certify() turns one
-record into explicit pass/fail certificates.  A sweep runs the restarts
-of each point on a pool of forked worker processes (restart_pool), each
-given its assembly and datum by the pool's initializer; the records are
-the serial ones bit for bit.
+record into explicit pass/fail certificates.  minimize runs its restarts
+on a pool of forked worker processes (restart_pool), each given its
+assembly and datum by the pool's initializer; the records are the serial
+ones bit for bit.  A lone call opens and closes its own pool; a sweep
+opens one and passes it to every point.
 """
 
 from __future__ import annotations
@@ -255,7 +256,10 @@ def restart_pool(problem: "ProblemSpec", assembly: EnergyAssembly):
 
     Use it in a with block.  It has min(restarts, available CPUs) workers,
     all forked at its first submit, each holding this pool's data, so
-    pools in two threads never mix.
+    pools in two threads never mix.  minimize opens one per call when it
+    is given none; opening, using and closing a pool costs about 10 ms,
+    so a caller that solves many mu on one assembly, as run_sweep does,
+    opens it once and passes it to each call as executor.
 
     None, for serial restarts, when that is one worker, the platform
     cannot fork, or the caller is a daemonic process, which may not
@@ -298,8 +302,11 @@ def minimize(
     runs the lowest energy wins; ties within 1e-10 go to the smaller
     norm.  With no converged run the best finite iterate is returned
     with converged=False rather than raising, so sweeps survive bad
-    points.  executor, a pool from restart_pool on this assembly and
-    datum, runs the restarts in parallel; the record is the same bytes.
+    points.  The restarts run in parallel on executor, a pool from
+    restart_pool on this assembly and datum that the caller keeps open;
+    without one, on a pool of this call's own, closed before it returns
+    or raises.  Where restart_pool gives None they run serially.  The
+    record is the same bytes on every path.
     """
     mu = _checked_mu(mu)
     cfg = problem.solver
@@ -323,18 +330,23 @@ def minimize(
         na = math.sqrt(float(d @ G @ d))
         starts.append(d * (_START_AMPLITUDES[(j - 1) % len(_START_AMPLITUDES)] / na))
     if executor is None:
-        runs = [_descend(x0, mu, nl, assembly, cap, cfg, t0) for x0 in starts]
+        workers = restart_pool(problem, assembly)  # this call's own, joined on exit
+    elif getattr(executor, "assembly", None) is not assembly or executor.datum is not nl:
+        raise ValueError("executor must come from restart_pool on this assembly and datum")
     else:
-        if getattr(executor, "assembly", None) is not assembly or executor.datum is not nl:
-            raise ValueError("executor must come from restart_pool on this assembly and datum")
-        try:  # map returns the runs in restart order
-            runs = list(
-                executor.map(
-                    _pooled_descend, starts, repeat(mu), repeat(cap), repeat(cfg), repeat(t0)
+        workers = contextlib.nullcontext(executor)  # the caller's, left open
+    with workers as executor:
+        if executor is None:
+            runs = [_descend(x0, mu, nl, assembly, cap, cfg, t0) for x0 in starts]
+        else:
+            try:  # map returns the runs in restart order
+                runs = list(
+                    executor.map(
+                        _pooled_descend, starts, repeat(mu), repeat(cap), repeat(cfg), repeat(t0)
+                    )
                 )
-            )
-        except BrokenProcessPool as exc:
-            raise FracvarError(f"a restart worker process died ({exc})") from exc
+            except BrokenProcessPool as exc:
+                raise FracvarError(f"a restart worker process died ({exc})") from exc
     with np.errstate(all="ignore"):  # a nonfinite restart's own numbers may overflow
         for run in runs:
             x = run["x"]

@@ -1,8 +1,9 @@
-"""The restart pool of run_sweep: same bytes as serial solves, no process left behind.
+"""The restart pool of minimize and run_sweep: same bytes as serial solves, no process left behind.
 
 Each test forces a two-worker pool through solver._available_cpus, so the
 pooled path runs whatever the machine's CPU count, and runs under a
-deadline so that a hung pool fails the test instead of the suite.
+deadline so that a hung pool fails the test instead of the suite.  The
+serial records they compare with are solved with one CPU on offer.
 """
 
 from __future__ import annotations
@@ -63,6 +64,27 @@ def executors(monkeypatch):
 
 
 @pytest.fixture
+def pools(monkeypatch):
+    """Each pool a minimize call given no executor opens, with two CPUs on offer."""
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
+    opened = []
+    original = solver.restart_pool
+
+    def spy(*args, **kwargs):
+        opened.append(original(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(solver, "restart_pool", spy)
+    return opened
+
+
+def _serially(monkeypatch, solve):
+    """solve() with one CPU on offer, so its restarts run in this process."""
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 1)
+    return solve()
+
+
+@pytest.fixture
 def no_spawn(monkeypatch):
     def refuse(self):
         raise AssertionError("a process was started")
@@ -83,7 +105,7 @@ _DATA = {
 
 
 @pytest.mark.parametrize("name", sorted(_DATA))
-def test_pooled_sweep_is_serial_minimize_bit_for_bit(name, executors):
+def test_pooled_sweep_is_serial_minimize_bit_for_bit(name, executors, monkeypatch):
     problem = _problem(_DATA[name])
     with _deadline():  # inside (0, mu_star) for each datum; affine_power's is 0.46
         sweep = harness.run_sweep(problem, 0.02, 0.2, 4)
@@ -92,6 +114,7 @@ def test_pooled_sweep_is_serial_minimize_bit_for_bit(name, executors):
     assert multiprocessing.active_children() == []
 
     model, assembly = problem.build()
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 1)
     for i, (mu, rec) in enumerate(zip(sweep.mu_values, sweep.records)):
         seed = problem.solver.seed + 7919 * i
         point = dataclasses.replace(
@@ -101,6 +124,29 @@ def test_pooled_sweep_is_serial_minimize_bit_for_bit(name, executors):
             point, mu, model=model, assembly=assembly, gamma_bar=sweep.conditions.gamma_bar
         )
         assert alone.json_str() == rec.json_str()
+
+
+@pytest.mark.parametrize("name", sorted(_DATA))
+def test_lone_minimize_runs_on_its_own_pool_bit_for_bit(name, pools, monkeypatch):
+    problem = _problem(_DATA[name])
+    model, assembly = problem.build()
+    solve = functools.partial(minimize, problem, 0.1, model=model, assembly=assembly)
+    in_this_process = []
+    descend = solver._descend
+
+    def spy(*args):
+        in_this_process.append(args)  # a forked worker appends to its own copy
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", spy)
+    with _deadline():
+        pooled = solve()
+    assert len(pools) == 1 and isinstance(pools[0], solver._RestartPool)
+    assert in_this_process == []
+    assert multiprocessing.active_children() == []
+    serial = _serially(monkeypatch, solve)
+    assert len(in_this_process) == problem.solver.restarts
+    assert pooled.json_str() == serial.json_str()
 
 
 def test_pool_is_gone_when_run_sweep_raises(executors, monkeypatch):
@@ -137,6 +183,25 @@ def test_callers_that_cannot_spawn_sweep_serially(caller, monkeypatch, executors
     assert executors == [None] * 4
 
 
+@pytest.mark.parametrize(
+    "caller", ["one CPU", "one restart", "daemonic process", "no fork start method"]
+)
+def test_lone_minimize_that_cannot_spawn_runs_serially(caller, monkeypatch, pools, no_spawn):
+    problem = _problem(_DATA["power_sum"])
+    if caller == "one CPU":
+        monkeypatch.setattr(solver, "_available_cpus", lambda: 1)
+    elif caller == "one restart":
+        problem = dataclasses.replace(problem, solver=solver.SolverConfig(restarts=1))
+    elif caller == "daemonic process":
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with _deadline():
+        sol = minimize(problem, 0.1)
+    assert len(pools) == 1 and not isinstance(pools[0], solver._RestartPool)
+    assert len(sol.candidates) == problem.solver.restarts
+
+
 def test_available_cpus_reads_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert solver._available_cpus() == 1
@@ -161,7 +226,7 @@ def test_datum_outside_the_catalog_gets_a_pool(monkeypatch):
         assert pool is not None
         pooled = solve(executor=pool)
     assert multiprocessing.active_children() == []
-    assert pooled.json_str() == solve().json_str()
+    assert pooled.json_str() == _serially(monkeypatch, solve).json_str()
 
 
 def test_executor_must_match_the_assembly(monkeypatch):
@@ -223,15 +288,19 @@ def test_pools_in_two_threads_keep_their_own_data(monkeypatch):
     assert not b.is_alive()
     assert failures == []
     assert multiprocessing.active_children() == []
-    assert pooled.json_str() == solve().json_str()
+    assert pooled.json_str() == _serially(monkeypatch, solve).json_str()
 
 
 def test_dead_worker_raises_fracvar_error(monkeypatch):
     monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_descend", lambda *args: os._exit(3))
-    with _deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
-        harness.run_sweep(_problem(_DATA["power_sum"]), 0.05, 0.5, 4)
-    assert multiprocessing.active_children() == []
+    problem = _problem(_DATA["power_sum"])
+    sweep = functools.partial(harness.run_sweep, problem, 0.05, 0.5, 4)
+    lone = functools.partial(minimize, problem, 0.1)  # on a pool of its own
+    for solve in (sweep, lone):
+        with _deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
+            solve()
+        assert multiprocessing.active_children() == []
 
 
 _UNGUARDED = """\

@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
+
+import pytest
 
 from fracvar import solver
 
@@ -53,6 +57,35 @@ def test_bench_baseline_layout():
             assert restart["stop"] in ("grad_tol", "max_iters", "line_search")
             assert restart["iters"] >= 1 and restart["wall_s"] > 0.0
         assert rung["record"]["converged"] and rung["record"]["energy"] < 0.0
+
+
+@pytest.fixture
+def bench_ladder(monkeypatch):
+    # loading the script sets the BLAS thread variables and puts perfbench/ on sys.path
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return _load("bench_ladder")
+
+
+def test_ladder_pins_itself_and_times_every_restart(bench_ladder, tmp_path):
+    out = tmp_path / "ladder.json"
+    cpus = os.sched_getaffinity(0)
+    try:
+        assert bench_ladder.main(["--rungs", "512", "--out", str(out)]) == 0
+        assert len(os.sched_getaffinity(0)) == 1
+    finally:
+        os.sched_setaffinity(0, cpus)
+    (rung,) = json.loads(out.read_text())["rungs"]
+    assert (rung["n"], rung["k_max"]) == (512, 32)
+    assert len(rung["restarts"]) == solver.SolverConfig().restarts
+    assert all(restart["wall_s"] > 0.0 for restart in rung["restarts"])
+
+
+def test_ladder_refuses_restarts_it_could_not_time(bench_ladder, monkeypatch):
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 2)  # a restart pool, as on 2 CPUs
+    with pytest.raises(RuntimeError, match="timed 0 of 8 restarts"):
+        bench_ladder.run_rung(512, 32)
 
 
 def test_cli_outputs_exit_0_with_canonical_json(tmp_path):

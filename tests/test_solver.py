@@ -419,6 +419,8 @@ def test_nonfinite_restart_never_wins_the_record(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(solver, "_descend", descend)
+    # serial restarts, so that the spy runs in this process and fills runs
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 1)
     spec = ProblemSpec(
         alpha=0.75,
         T=1.0,
