@@ -15,10 +15,10 @@ No rung is capped: each runs all three repeats at the default
 max_iters; the (4096, 256) rung takes about 30 s per repeat on one
 core of a 2-core VM.
 
-The script pins its process to one CPU, so minimize runs its restarts
-serially, in this process, where each is timed; the times stay
-comparable with the committed baseline.  A rung whose clock saw fewer
-restarts than the record has candidates fails.
+The script pins its process to one CPU, so minimize forks no child and
+runs every restart serially, in this process, where each is timed; the
+times stay comparable with the committed baseline.  A rung whose clock
+saw fewer restarts than the record has candidates fails.
 
 The BLAS thread cap is set to 1 before numpy loads, by importing
 perfbench/run.py, and the file records perfbench's provenance (git
@@ -84,7 +84,7 @@ def _pipeline(spec: ProblemSpec):
     if len(restart_s) != len(sol.candidates):
         raise RuntimeError(
             f"timed {len(restart_s)} of {len(sol.candidates)} restarts in this process; "
-            "minimize ran them on a restart pool"
+            "minimize ran the rest in forked children"
         )
     layers = {key: tracer.total_s(span) for key, span in LAYERS.items()}
     layers["total"] = total

@@ -190,6 +190,8 @@ def table_datum(xs, fs) -> Nonlinearity:
     fs = np.asarray(fs, dtype=float)
     if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
         raise ValueError("table needs matching 1-d arrays with at least two knots")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("table abscissae must be finite")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table abscissae must be strictly increasing")
 

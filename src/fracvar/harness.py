@@ -32,7 +32,7 @@ from .frac_kernel import (
     rl_right_integral,
 )
 from .problem import ProblemSpec
-from .solver import SolutionRecord, _checked_mu, minimize, restart_pool
+from .solver import SolutionRecord, _checked_mu, minimize
 from .space import embedding_constant, unit_mode
 
 __all__ = [
@@ -93,10 +93,8 @@ def run_sweep(
     seeds are derived from the base seed with a fixed stride, so the
     whole sweep is a pure function of (problem, range, count).
     Geometric spacing concentrates points near small mu, where the
-    norm-decay behavior lives.  The restarts of every point run on one
-    restart_pool, opened here once rather than by each minimize call and
-    closed before return, whose workers hold this problem's data even
-    while another thread sweeps.
+    norm-decay behavior lives.  Each point's restarts run in this process
+    and in children forked for that point's minimize call alone.
     """
     if count < 4:
         raise ValueError(f"sweep needs count >= 4, got {count}")
@@ -115,17 +113,12 @@ def run_sweep(
     gb = report.gamma_bar
     mus = np.geomspace(mu_min, mu_max, count)
     records = []
-    with restart_pool(problem, assembly) as pool:
-        for i, m in enumerate(mus):
-            seed = problem.solver.seed + _SWEEP_SEED_STRIDE * i
-            point = dataclasses.replace(
-                problem, solver=dataclasses.replace(problem.solver, seed=seed)
-            )
-            records.append(
-                minimize(
-                    point, float(m), model=model, assembly=assembly, gamma_bar=gb, executor=pool
-                )
-            )
+    for i, m in enumerate(mus):
+        seed = problem.solver.seed + _SWEEP_SEED_STRIDE * i
+        point = dataclasses.replace(
+            problem, solver=dataclasses.replace(problem.solver, seed=seed)
+        )
+        records.append(minimize(point, float(m), model=model, assembly=assembly, gamma_bar=gb))
 
     energies = [r.energy for r in records]
     norms_a = [r.norm_alpha for r in records]

@@ -6,23 +6,20 @@ backtracking; the projection is a radial rescale, exact because Phi is a
 positive-definite quadratic form of the coefficients.  Verification is
 separate from search: the weak residual measures deviation of the
 reconstructed first-order map from a constant, and certify() turns one
-record into explicit pass/fail certificates.  minimize runs its restarts
-on a pool of forked worker processes (restart_pool), each given its
-assembly and datum by the pool's initializer; the records are the serial
-ones bit for bit.  A lone call opens and closes its own pool; a sweep
-opens one and passes it to every point.
+record into explicit pass/fail certificates.  minimize shares its
+restarts with children it forks for the call, which inherit its data;
+the records are the serial ones bit for bit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import mmap
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import pickle
+import signal
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -46,7 +43,6 @@ __all__ = [
     "SolutionRecord",
     "CertificateSet",
     "sublevel_radius",
-    "restart_pool",
     "minimize",
     "weak_residual",
     "weak_residual_values",
@@ -93,6 +89,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def sublevel_radius(gamma_bar: float, alpha, T: float) -> float:
@@ -217,33 +215,6 @@ def _descend(
     return dict(x=x, energy=Jx, phi=phi, grad_norm=gn, iters=it, backtracks=backtracks, stop=stop)
 
 
-# the assembly and datum a restart-pool worker descends on, set in the worker by _hold
-_worker: tuple[EnergyAssembly, Nonlinearity] | None = None
-
-
-def _hold(assembly: EnergyAssembly, nl: Nonlinearity) -> None:
-    global _worker
-    _worker = (assembly, nl)
-
-
-def _pooled_descend(x0, mu, cap, cfg, t0) -> dict:
-    assembly, nl = _worker
-    return _descend(x0, mu, nl, assembly, cap, cfg, t0)
-
-
-class _RestartPool(ProcessPoolExecutor):
-    """Forked workers, each handed this assembly and datum, unpickled, by _hold."""
-
-    def __init__(self, workers: int, assembly: EnergyAssembly, nl: Nonlinearity) -> None:
-        fork = multiprocessing.get_context("fork")
-        super().__init__(workers, fork, initializer=_hold, initargs=(assembly, nl))
-        self.assembly = assembly
-        self.datum = nl
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(cancel_futures=True)
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -251,29 +222,78 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def restart_pool(problem: "ProblemSpec", assembly: EnergyAssembly):
-    """A pool for minimize's restarts on problem's datum and assembly, or None.
+def _run_restarts(starts: list, descend) -> list[dict]:
+    """descend(x0) for each start, in start order, shared with forked children.
 
-    Use it in a with block.  It has min(restarts, available CPUs) workers,
-    all forked at its first submit, each holding this pool's data, so
-    pools in two threads never mix.  minimize opens one per call when it
-    is given none; opening, using and closing a pool costs about 10 ms,
-    so a caller that solves many mu on one assembly, as run_sweep does,
-    opens it once and passes it to each call as executor.
-
-    None, for serial restarts, when that is one worker, the platform
-    cannot fork, or the caller is a daemonic process, which may not
-    start children.  Workers inherit the parent's BLAS thread count, and
-    are joined when the block exits, also when it raises.
+    This process and min(len(starts), available CPUs) - 1 forked children
+    take the next unclaimed start from one shared counter.  Each child
+    pickles back its {index: run}, or the exception a run raised, which is
+    raised here as it is; a child that sent no whole result (it died, or
+    its exception does not pickle) raises FracvarError.  Every child is
+    reaped before this returns, and killed first if this raises.  Serial
+    with one worker, no fork start method, or in a daemonic process.
     """
-    workers = min(problem.solver.restarts, _available_cpus())
+    workers = min(len(starts), _available_cpus())
     if (
         workers < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return contextlib.nullcontext()
-    return _RestartPool(workers, assembly, problem.nonlinearity)
+        return [descend(x0) for x0 in starts]
+    # the next unclaimed start, in an anonymous shared map: it holds no file
+    # descriptor, while a multiprocessing.Value's heap keeps one for good
+    claimed = memoryview(mmap.mmap(-1, 8)).cast("q")
+    lock = multiprocessing.get_context("fork").Lock()
+
+    def share() -> dict:
+        runs = {}
+        while True:
+            with lock:
+                i, claimed[0] = claimed[0], claimed[0] + 1
+            if i >= len(starts):
+                return runs
+            runs[i] = descend(starts[i])
+
+    children = []
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: its share sent back, then out at once
+                try:
+                    with os.fdopen(w, "wb") as out:
+                        try:
+                            result = share()
+                        except BaseException as exc:
+                            result = exc
+                        pickle.dump(result, out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        runs = share()
+        for _, reader in children:
+            try:
+                result = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise FracvarError("a restart worker process died") from exc
+            if isinstance(result, BaseException):
+                raise result
+            runs.update(result)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.waitpid(pid, 0)
+    return [runs[i] for i in range(len(starts))]
 
 
 def _checked_mu(mu) -> float:
@@ -291,7 +311,6 @@ def minimize(
     model: SpaceModel | None = None,
     assembly: EnergyAssembly | None = None,
     gamma_bar: float | None = None,
-    executor: ProcessPoolExecutor | None = None,
 ) -> SolutionRecord:
     """Multi-start constrained minimization of J_mu.
 
@@ -302,16 +321,18 @@ def minimize(
     runs the lowest energy wins; ties within 1e-10 go to the smaller
     norm.  With no converged run the best finite iterate is returned
     with converged=False rather than raising, so sweeps survive bad
-    points.  The restarts run in parallel on executor, a pool from
-    restart_pool on this assembly and datum that the caller keeps open;
-    without one, on a pool of this call's own, closed before it returns
-    or raises.  Where restart_pool gives None they run serially.  The
-    record is the same bytes on every path.
+    points.  model is assembly.space, built when no assembly is given;
+    any other model is a ValueError.  The restarts run in this process
+    and in children forked for the call (_run_restarts); the record is
+    the same bytes as serial restarts give.
     """
     mu = _checked_mu(mu)
     cfg = problem.solver
-    if model is None or assembly is None:
-        model, assembly = problem.build()
+    if assembly is None:
+        _, assembly = problem.build()
+    if model is not None and model is not assembly.space:
+        raise ValueError("model must be assembly.space, the space the assembly was built on")
+    model = assembly.space
     nl = problem.nonlinearity
     if gamma_bar is None:
         gamma_bar = cond.sup_ratio(nl).gamma_bar
@@ -329,24 +350,7 @@ def minimize(
         d = rng.standard_normal(k)
         na = math.sqrt(float(d @ G @ d))
         starts.append(d * (_START_AMPLITUDES[(j - 1) % len(_START_AMPLITUDES)] / na))
-    if executor is None:
-        workers = restart_pool(problem, assembly)  # this call's own, joined on exit
-    elif getattr(executor, "assembly", None) is not assembly or executor.datum is not nl:
-        raise ValueError("executor must come from restart_pool on this assembly and datum")
-    else:
-        workers = contextlib.nullcontext(executor)  # the caller's, left open
-    with workers as executor:
-        if executor is None:
-            runs = [_descend(x0, mu, nl, assembly, cap, cfg, t0) for x0 in starts]
-        else:
-            try:  # map returns the runs in restart order
-                runs = list(
-                    executor.map(
-                        _pooled_descend, starts, repeat(mu), repeat(cap), repeat(cfg), repeat(t0)
-                    )
-                )
-            except BrokenProcessPool as exc:
-                raise FracvarError(f"a restart worker process died ({exc})") from exc
+    runs = _run_restarts(starts, lambda x0: _descend(x0, mu, nl, assembly, cap, cfg, t0))
     with np.errstate(all="ignore"):  # a nonfinite restart's own numbers may overflow
         for run in runs:
             x = run["x"]

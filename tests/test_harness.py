@@ -466,6 +466,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert cli_main(["frobnicate"]) == 1
     assert cli_main(["solve", "--config", str(cfg), "--mu", "-1"]) == 1
+    assert cli_main(["solve", "--config", str(cfg), "--mu", "0.25", "--seed", "-1"]) == 1
 
     rc = cli_main(["solve", "--config", str(missing), "--mu", "0.1"])
     err = capsys.readouterr().err
@@ -565,6 +566,14 @@ def test_cli_extreme_T_exits_1(tmp_path, capsys, T):
     assert "Traceback" not in err
 
 
+# out of range: an infinite table knot (json reads -Infinity), a negative seed
+_OUT_OF_RANGE = [
+    ({"nonlinearity": {"kind": "table", "xs": [-math.inf, 0, 1], "fs": [1, 0, 1]}},
+     "table abscissae must be finite"),
+    ({"solver": {"seed": -1}}, "seed must be >= 0"),
+]
+
+
 @pytest.mark.parametrize(
     "patch, field",
     [
@@ -586,7 +595,8 @@ def test_cli_extreme_T_exits_1(tmp_path, capsys, T):
          "bad parameters for nonlinearity 'table'"),
         ({"nonlinearity": {"kind": "table", "xs": [0, 1], "fs": [0, 1], "nonnegative": False}},
          "bad parameters for nonlinearity 'table'"),
-    ],
+    ]
+    + _OUT_OF_RANGE,
 )
 def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
     cfg = tmp_path / "p.json"
@@ -597,6 +607,21 @@ def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
     assert cli_main(["solve", "--config", str(cfg), "--mu", "0.25"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("fracvar: error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("patch, message", _OUT_OF_RANGE)
+def test_cli_conditions_rejects_a_bad_datum_or_seed(tmp_path, capsys, patch, message):
+    # with the infinite knot conditions printed a finite mu_star, and with
+    # seed -1 it exited 0 while solve failed late inside numpy
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    doc.update(patch)
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["conditions", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracvar: error:") and message in err
     assert "Traceback" not in err
 
 

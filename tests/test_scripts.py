@@ -83,8 +83,9 @@ def test_ladder_pins_itself_and_times_every_restart(bench_ladder, tmp_path):
 
 
 def test_ladder_refuses_restarts_it_could_not_time(bench_ladder, monkeypatch):
-    monkeypatch.setattr(solver, "_available_cpus", lambda: 2)  # a restart pool, as on 2 CPUs
-    with pytest.raises(RuntimeError, match="timed 0 of 8 restarts"):
+    # a forked child, as on 2 CPUs; this process times only its own share
+    monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"timed \d+ of 8 restarts"):
         bench_ladder.run_rung(512, 32)
 
 

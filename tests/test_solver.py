@@ -530,6 +530,37 @@ def test_residual_tolerance_formula():
     assert residual_tolerance(0.75, 4096) < residual_tolerance(0.75, 512)
 
 
+def test_minimize_takes_the_model_from_the_assembly(problem_small, monkeypatch):
+    # given an assembly alone, minimize solves on its space and builds nothing
+    model, assembly = problem_small.build()
+    with_model = minimize(problem_small, 0.1, model=model, assembly=assembly)
+
+    def refuse(self):
+        raise AssertionError("the problem was rebuilt")
+
+    monkeypatch.setattr(ProblemSpec, "build", refuse)
+    alone = minimize(problem_small, 0.1, assembly=assembly)
+    assert alone.json_str() == with_model.json_str()
+
+
+def test_minimize_refuses_a_model_other_than_the_assemblys(problem_small):
+    # a model of another alpha would mix its norms and residual into the record
+    _, assembly = problem_small.build()
+    foreign = dataclasses.replace(problem_small, alpha=0.6).build()[0]
+    twin = problem_small.build()[0]  # equal in value, but not the assembly's space
+    for model in (foreign, twin):
+        with pytest.raises(ValueError, match="assembly.space"):
+            minimize(problem_small, 0.1, model=model, assembly=assembly)
+    with pytest.raises(ValueError, match="assembly.space"):
+        minimize(problem_small, 0.1, model=twin)  # the assembly built here has its own
+
+
+def test_solver_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SolverConfig(seed=-1)
+    assert SolverConfig(seed=0).seed == 0
+
+
 def test_solver_config_defaults_round_trip():
     cfg = SolverConfig()
     assert cfg.grad_tol == 1e-8
