@@ -101,7 +101,8 @@ class SupRatio:
 def _ratio_or_inf(gammas: np.ndarray, window: np.ndarray) -> np.ndarray:
     out = np.full_like(gammas, np.inf)
     pos = window > 0.0
-    out[pos] = gammas[pos] ** 2 / window[pos]
+    with np.errstate(over="ignore"):  # a subnormal window max overflows to the same inf
+        out[pos] = gammas[pos] ** 2 / window[pos]
     return out
 
 

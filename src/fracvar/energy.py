@@ -63,7 +63,7 @@ class Nonlinearity:
                 f"nonlinearity {self.kind!r} claims f >= 0 but probes found "
                 f"min f = {samples.min():.3e}"
             )
-        f0 = float(np.asarray(self.f(np.array([0.0])))[0])
+        f0 = float(samples[-1])  # the probe ends at 0
         if self.vanishes_at_zero and abs(f0) > 1e-10:
             raise ValueError(
                 f"nonlinearity {self.kind!r} claims f(0) = 0 but f(0) = {f0:.3e}"
@@ -302,7 +302,7 @@ class EnergyAssembly:
 _SLACK_COEFF = 4.0
 
 
-def coercivity_slack(alpha, n: int, k_max: int) -> float:
+def coercivity_slack(alpha: float, n: int, k_max: int) -> float:
     """Relative slack for the discrete left/right pairing lower bound.
 
     The pairing equals |cos(pi alpha)| times the Gram form only up to the
@@ -314,8 +314,7 @@ def coercivity_slack(alpha, n: int, k_max: int) -> float:
     alpha = 1/2 it grows (4.0 to 4.4 at 0.54, about 8 at 0.52), so
     there every grid tested, up to n = 16384, raises.
     """
-    a = float(getattr(alpha, "value", alpha))
-    return _SLACK_COEFF * (k_max / n) ** (2.0 - a)
+    return _SLACK_COEFF * (k_max / n) ** (2.0 - alpha)
 
 
 def build_assembly(model: SpaceModel) -> EnergyAssembly:

@@ -377,7 +377,7 @@ def rl_right_integral(u: GridFunction, order) -> GridFunction:
     """
     gamma = _order(order, differentiation=False)
     mirrored = _abel_left(u.values[..., ::-1].copy(), gamma, u.grid.h)
-    return GridFunction(u.grid, mirrored[..., ::-1].copy())
+    return GridFunction(u.grid, mirrored[..., ::-1])
 
 
 def caputo_left(u_prime: GridFunction, order) -> GridFunction:
@@ -388,7 +388,7 @@ def caputo_left(u_prime: GridFunction, order) -> GridFunction:
     """
     alpha = _order(order, differentiation=True)
     if alpha == 1.0:
-        return GridFunction(u_prime.grid, u_prime.values.copy())
+        return GridFunction(u_prime.grid, u_prime.values)
     return rl_left_integral(u_prime, 1.0 - alpha)
 
 

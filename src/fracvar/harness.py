@@ -213,8 +213,8 @@ def _fmt(x) -> str:
     # repr of a Python float is the shortest round-trip form; bit-stable
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return repr(float(x))
 
 
@@ -326,7 +326,7 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
     rows = []
 
     # the piecewise-linear quadrature reproduces u(t) = t exactly
-    u_lin = GridFunction(grid, t.copy())
+    u_lin = GridFunction(grid, t)
     err = 0.0
     for g in (0.3, 0.5, 0.9):
         got = rl_left_integral(u_lin, g).values[-1]
@@ -410,21 +410,12 @@ def _print_identity_table(rows: list[IdentityRow], stream) -> None:
 # --- CLI ---------------------------------------------------------------------
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); the contract is 1
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
-
-
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the solver seed")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="fracvar",
         description="Variational toolkit for a fractional two-point boundary value problem.",
     )
@@ -533,11 +524,8 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1

@@ -79,8 +79,8 @@ class SolverConfig:
     sublevel_margin: ClassVar[float] = 0.99
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.grad_tol) and self.grad_tol > 0.0):
-            raise ValueError(f"grad_tol must be a positive real number, got {self.grad_tol!r}")
+        if not (_is_real(self.grad_tol) and 0.0 < self.grad_tol < math.inf):
+            raise ValueError(f"grad_tol must be a positive finite number, got {self.grad_tol!r}")
         for name in ("max_iters", "restarts", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -207,7 +207,6 @@ def _descend(
             break
         if stop == "nonfinite":
             break
-        assert Jv <= Jx + 1e-12 * (1.0 + abs(Jx))  # descent along accepted steps
         x_prev, g_prev = x, g
         x, Jx, phi = v, Jv, phi_v
         g = gradient(x, synth)
@@ -371,14 +370,14 @@ def minimize(
             ):
                 best = r_
 
-        u = SpectralElement(tuple(float(v) for v in best["x"]))
+        u = SpectralElement(best["x"])
         nm = norms(u, model)
         synth = u.coeffs @ model.basis
         phi = assembly.phi(u.coeffs)
         psi = assembly.psi(synth, nl)
         energy = phi - mu * psi
         res = _residual_from_values(weak_residual_values(best["x"], mu, nl, model))
-        node_values = tuple(float(v) for v in synth)
+        node_values = tuple(synth.tolist())
     converged = bool(best["converged"])
     candidates = tuple({key: r_[key] for key in _CANDIDATE_KEYS} for r_ in runs)
     return SolutionRecord(

@@ -647,3 +647,53 @@ def test_config_schema_is_closed(tmp_path):
     spec = ProblemSpec.from_config(doc)
     assert spec.nonlinearity.kind == "power_sum"
     assert from_tag("power_sum", r=1.5, s=3.0).params == spec.nonlinearity.params
+
+
+def test_cli_rejects_an_infinite_grad_tol(tmp_path, capsys):
+    # json reads Infinity; with it every restart "converged" at its start
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    doc["solver"] = {"grad_tol": math.inf}
+    cfg.write_text(json.dumps(doc))
+    assert "Infinity" in cfg.read_text()
+    assert cli_main(["solve", "--config", str(cfg), "--mu", "0.25"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fracvar: error:") and "grad_tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["solve"],
+        ["ray-scan", "--config", "{cfg}", "--mu", "0.25", "--seed", "3"],
+    ],
+)
+def test_cli_usage_error_prints_usage_and_one_error_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    assert cli_main([a.format(cfg=cfg) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: fracvar")
+    assert err.endswith("\n")
+    last = err.splitlines()[-1]
+    assert last.startswith("fracvar") and ": error: " in last
+    assert sum(": error: " in line for line in err.splitlines()) == 1
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fracvar")
+
+
+@pytest.mark.parametrize("command", [["solve"], ["ray-scan"]])
+def test_cli_out_under_a_missing_directory_is_an_io_error(tmp_path, capsys, command):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    out_path = tmp_path / "missing" / "out.txt"
+    argv = [*command, "--config", str(cfg), "--mu", "0.25", "--out", str(out_path)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("fracvar: i/o error:")

@@ -561,6 +561,14 @@ def test_solver_config_rejects_a_negative_seed():
     assert SolverConfig(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-8])
+def test_solver_config_rejects_a_grad_tol_that_is_not_positive_and_finite(tol):
+    # with grad_tol = inf every restart stopped at its start as "converged"
+    with pytest.raises(ValueError, match="grad_tol must be a positive finite number"):
+        SolverConfig(grad_tol=tol)
+    assert SolverConfig(grad_tol=1e300).grad_tol == 1e300
+
+
 def test_solver_config_defaults_round_trip():
     cfg = SolverConfig()
     assert cfg.grad_tol == 1e-8
