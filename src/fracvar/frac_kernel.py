@@ -6,19 +6,15 @@ quadrature is a product-trapezoidal rule: on every panel the weakly
 singular kernel (t - s)**(gamma - 1) is integrated in closed form against
 the piecewise-linear interpolant of the data, so the singularity never
 meets a sampled integrand.  Evaluating an operator at all n + 1 nodes
-keeps the first n - 1 outputs of one length-(n-1) convolution.  The
-operators below form it directly: a stack of functions on one grid
-shares one kernel; a large stack forms only those kept outputs, about
-n**2 / 2 multiply-adds per function, and a small one forms the full
-convolution, about n**2.  Every choice gives the bits of a per-row
-convolution, which the benchmark's references rely on; _abel_left says
-how the loop is chosen and why the bits agree.
+keeps the first n - 1 outputs of one length-(n-1) convolution.
 
-abel_left_fft takes the same convolution by FFT, O(n log n) per
-function and equal to roundoff.  The weak residual
-(solver.weak_residual_values) uses it: its map feeds no solve.
-build_space and kernel_verify stay on the direct sum, because the
-benchmark's references pin their bits (ROADMAP item 3 moves them).
+The operators take that convolution by FFT, the fast product quadrature
+of Hairer, Lubich and Schlichte (1985): O(n log n) per function, equal
+to the direct sum to roundoff, and a stack of functions on one grid
+shares one kernel.  kernel_verify and the weak residual call them.
+caputo_images, which only build_space calls, forms the sum directly,
+because the benchmark's references pin the bits of its images (ROADMAP
+item 3 moves it to the FFT).
 
 The order-alpha Caputo derivative consumes samples of u' rather than u;
 at alpha = 1 both one-sided derivatives reduce exactly to +/- u' and the
@@ -41,9 +37,9 @@ __all__ = [
     "euler_gamma",
     "rl_left_integral",
     "rl_right_integral",
-    "abel_left_fft",
     "caputo_left",
     "caputo_right",
+    "caputo_images",
     "cumulative_trapezoid",
 ]
 
@@ -144,8 +140,7 @@ class GridFunction:
     values has shape (n+1,) for one function, or (rows, n+1) for a stack
     of functions on the same grid.  The operators below act row by row
     and give every row of a stack the bits it gets on its own; a stack
-    shares one kernel evaluation and, when large, one BLAS dot call per
-    node across all rows (see _abel_left).
+    shares one kernel evaluation and one batched FFT (see _abel_left).
     """
 
     grid: Grid
@@ -263,39 +258,6 @@ def _product_trapezoid(values: np.ndarray, gamma: float, h: float, convolve) -> 
     return out.reshape(np.shape(values))
 
 
-def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
-    """_product_trapezoid with the sum formed directly, bit for bit per row.
-
-    Cost and loop choice.  Each kept convolution output is one BLAS dot
-    of a row prefix with the tail of the reversed kernel.  A stack of
-    rows * (n + 1) >= _STACKED_MIN_SAMPLES samples takes the per-node
-    loop (_kept_convolution): it forms only the n - 1 kept outputs, the
-    lower triangle, about rows * n**2 / 2 multiply-adds, in one np.vecdot
-    call per node shared by all rows.  Smaller stacks take per-row
-    np.convolve, which also forms the n - 2 discarded outputs (twice the
-    work) but skips the per-node Python call, which costs more there.
-
-    Bit-identity.  np.convolve computes each output with the same dtype
-    dot function (cblas_ddot) on the same operands as np.vecdot, so both
-    loops give the bits the plain per-row convolution gives, whatever the
-    stack size (tests check 1 and 2 BLAS threads).  The benchmark pins
-    those bits through two callers.  build_space's Caputo images feed
-    phi and psi, whose references come from solves that stop short of
-    their minimizer, so a roundoff change moves them past their 1e-6
-    tolerance (ROADMAP items 2-3; the perfbench/reference.json FOUND in
-    CHANGES.md); kernel_verify's power-rule and linearity rows carry
-    about 1e-15 of slack.  ROADMAP item 3 moves both to abel_left_fft
-    with re-recorded references, and deletes _kept_convolution,
-    _per_row_convolution, _STACKED_MIN_SAMPLES, _TILE_BYTES and this
-    loop choice.
-    """
-    if np.size(values) < _STACKED_MIN_SAMPLES:
-        convolve = _per_row_convolution
-    else:
-        convolve = _kept_convolution
-    return _product_trapezoid(values, gamma, h, convolve)
-
-
 def _per_row_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """np.convolve(row, kernel)[:m] for every row of body, one full convolution each."""
     m = body.shape[1]
@@ -335,15 +297,14 @@ def _fft_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, L, axis=1)[:, :m]
 
 
-def abel_left_fft(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
+def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
     """The left Abel integral of every row by the fast product quadrature.
 
-    The rule and weights of rl_left_integral, with the convolution taken
-    by FFT (Hairer, Lubich and Schlichte 1985): O(n log n) per row, and
-    equal to the direct sum to roundoff, not bit for bit (tests hold it
-    within 1e-14 of max|value|).  values is shaped like
-    GridFunction.values; gamma > 0 is not checked.  A right integral is
-    the left one of the reversed samples, reversed back.
+    _product_trapezoid with the convolution taken by _fft_convolution:
+    O(n log n) per row, and equal to the direct sum to roundoff, not bit
+    for bit (tests hold it within 1e-14 of max|value|).  Each row of a
+    stack gets the bits of a call on its own.  A right integral is the
+    left one of the reversed samples, reversed back.
     """
     return _product_trapezoid(values, gamma, h, _fft_convolution)
 
@@ -404,6 +365,39 @@ def caputo_right(u_prime: GridFunction, order) -> GridFunction:
         return GridFunction(u_prime.grid, -u_prime.values)
     mirrored = rl_right_integral(u_prime, 1.0 - alpha)
     return GridFunction(u_prime.grid, -mirrored.values)
+
+
+def caputo_images(u_prime: GridFunction, order) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right Caputo images of every row, with the sum formed directly.
+
+    caputo_left and caputo_right of u_prime, each row bit for bit the
+    per-row np.convolve of the rule.  Only build_space calls it: its
+    images feed phi and psi, whose benchmark references come from solves
+    that stop short of their minimizer, so a roundoff change moves them
+    past their 1e-6 tolerance.  ROADMAP item 3 moves it to the FFT with
+    re-recorded references, and deletes _kept_convolution,
+    _per_row_convolution, _STACKED_MIN_SAMPLES and _TILE_BYTES.
+
+    Each kept output is one BLAS dot of a row prefix with the reversed
+    kernel's tail.  From rows * (n + 1) >= _STACKED_MIN_SAMPLES samples
+    _kept_convolution forms only the n - 1 kept outputs, one np.vecdot
+    per node shared by all rows; smaller stacks take per-row np.convolve,
+    twice the multiply-adds but no per-node Python call.  np.convolve
+    makes the same cblas_ddot call on the same operands as np.vecdot, so
+    both give the same bits (tests check 1 and 2 BLAS threads).
+    """
+    alpha = _order(order, differentiation=True)
+    values = u_prime.values
+    if alpha == 1.0:
+        return values, -values
+    gamma, h = 1.0 - alpha, u_prime.grid.h
+    if values.size < _STACKED_MIN_SAMPLES:
+        convolve = _per_row_convolution
+    else:
+        convolve = _kept_convolution
+    left = _product_trapezoid(values, gamma, h, convolve)
+    mirrored = _product_trapezoid(values[..., ::-1].copy(), gamma, h, convolve)
+    return left, -mirrored[..., ::-1]
 
 
 def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:

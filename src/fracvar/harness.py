@@ -23,6 +23,7 @@ from . import conditions as cond
 from .codec import JsonCodec
 from .errors import FracvarError, HypothesisError
 from .frac_kernel import (
+    FracOrder,
     Grid,
     GridFunction,
     caputo_left,
@@ -318,8 +319,22 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
     Power rules against closed forms, the integration-by-parts pairing,
     both composition identities, linearity, and an empirical convergence
     order on u = t^2.  Returns the measured rows; all ok means pass.
+    Raises ValueError, before any work, for a T at which a closed form or
+    the probes' pairing is not a finite, normal float.
     """
-    grid = Grid(T=T, n=n)
+    grid, T = Grid(T=T, n=n), float(T)
+    alpha = FracOrder.derivative(alpha).value
+    powers = (0.3, 0.5, 0.9)
+    try:
+        lin_exact = [T ** (g + 1.0) / euler_gamma(g + 2.0) for g in powers]
+        cap_exact = T ** (1.0 - alpha) / euler_gamma(2.0 - alpha)
+        sq_exact = 2.0 * T**2.5 / euler_gamma(3.5)
+        # the largest number formed: the pairing of two probes of about T**2 each
+        in_range = min(*lin_exact, cap_exact, sq_exact) >= sys.float_info.min and T**5.9 < math.inf
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"kernel-verify at T={T}: closed forms out of float range; rescale T")
     h = grid.h
     t = grid.nodes
     rng = np.random.default_rng(seed)
@@ -328,17 +343,15 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
     # the piecewise-linear quadrature reproduces u(t) = t exactly
     u_lin = GridFunction(grid, t)
     err = 0.0
-    for g in (0.3, 0.5, 0.9):
+    for g, exact in zip(powers, lin_exact):
         got = rl_left_integral(u_lin, g).values[-1]
-        exact = T ** (g + 1.0) / euler_gamma(g + 2.0)
         err = max(err, abs(got - exact) / exact)
     rows.append(IdentityRow("left integral power rule", err, KV_POWER_TOL))
 
     ones = GridFunction(grid, np.ones(n + 1))
     got = caputo_left(ones, alpha).values[-1]
-    exact = T ** (1.0 - alpha) / euler_gamma(2.0 - alpha)
     rows.append(
-        IdentityRow("caputo power rule", abs(got - exact) / exact, KV_POWER_TOL)
+        IdentityRow("caputo power rule", abs(got - cap_exact) / cap_exact, KV_POWER_TOL)
     )
 
     w = grid.weights
@@ -385,8 +398,7 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
     for m in sizes:
         gi = Grid(T=T, n=m)
         got = rl_left_integral(GridFunction(gi, gi.nodes**2), 0.5).values[-1]
-        exact = 2.0 * T**2.5 / euler_gamma(3.5)
-        errs.append(abs(got - exact))
+        errs.append(abs(got - sq_exact))
     slope = float(
         np.polyfit(np.log([T / m for m in sizes]), np.log(errs), 1)[0]
     )

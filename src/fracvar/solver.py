@@ -28,11 +28,13 @@ from . import conditions as cond
 from .codec import JsonCodec, custom
 from .energy import EnergyAssembly, Nonlinearity
 from .errors import FracvarError
-from .frac_kernel import FracOrder, abel_left_fft, cumulative_trapezoid
-# imported but not called: perfbench/tracing.py patches
-# solver.rl_left_integral and solver.rl_right_integral, and a traced run
-# raises AttributeError without them
-from .frac_kernel import rl_left_integral, rl_right_integral
+from .frac_kernel import (
+    FracOrder,
+    GridFunction,
+    cumulative_trapezoid,
+    rl_left_integral,
+    rl_right_integral,
+)
 from .space import SpaceModel, SpectralElement, build_space, embedding_constant, norms
 
 if TYPE_CHECKING:
@@ -407,11 +409,7 @@ def weak_residual_values(
     The map is the left fractional integral of order 1 - alpha of the
     left Caputo image, minus the right integral of the right image, plus
     the running integral of mu f(u).  At alpha = 1 both integrals are
-    the identity and the map reduces to 2 u' + mu int f(u).  Both
-    integrals are one two-row abel_left_fft call, the right one as the
-    left integral of the reversed image: the map feeds no solve, so it
-    takes the fast quadrature, within roundoff of rl_left_integral and
-    rl_right_integral.
+    the identity and the map reduces to 2 u' + mu int f(u).
     """
     c = np.asarray(coeffs, dtype=float)
     grid = model.grid
@@ -420,8 +418,9 @@ def weak_residual_values(
     if model.alpha == 1.0:
         left, right = dl, dr
     else:
-        left, mirrored = abel_left_fft(np.stack([dl, dr[::-1]]), 1.0 - model.alpha, grid.h)
-        right = mirrored[::-1]
+        order = 1.0 - model.alpha
+        left = rl_left_integral(GridFunction(grid, dl), order).values
+        right = rl_right_integral(GridFunction(grid, dr), order).values
     synth = c @ model.basis
     forcing = mu * cumulative_trapezoid(np.asarray(nl.f(synth), dtype=float), grid.h)
     return left - right + forcing

@@ -16,14 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import JsonCodec
-from .frac_kernel import (
-    FracOrder,
-    Grid,
-    GridFunction,
-    caputo_left,
-    caputo_right,
-    euler_gamma,
-)
+from .frac_kernel import FracOrder, Grid, GridFunction, caputo_images, euler_gamma
+# imported but not called: perfbench/tracing.py patches space.caputo_left
+# and space.caputo_right, and a traced run raises AttributeError without them
+from .frac_kernel import caputo_left, caputo_right
 
 __all__ = [
     "SpaceConfig",
@@ -71,8 +67,8 @@ class SpaceModel:
     Arrays are laid out mode-major: basis[k - 1] holds the nodal samples
     of sin(k pi t / T).  caputo_left_images / caputo_right_images are the
     order-alpha one-sided derivative images of each basis function,
-    produced by the kernel operators from the analytic derivatives, which
-    the model does not keep.
+    produced by frac_kernel.caputo_images from the analytic derivatives,
+    which the model does not keep.
     """
 
     config: SpaceConfig
@@ -130,14 +126,12 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     """Assemble the cached spectral model for one configuration.
 
     Deterministic: equal configs give bitwise-identical models.  Cost is
-    dominated by the 2 * k_max Caputo images, built in one stacked call
-    per side.  From k_max * (n + 1) >= 60,000 samples each side computes
-    only the kept triangle of its convolutions, about k_max * n**2 / 2
-    multiply-adds; below that it runs the full per-row convolution,
-    about k_max * n**2.  Every image is bit-identical to a per-row build
-    whichever loop runs, as the benchmark's phi/psi references require
-    (ROADMAP items 2-3 and the perfbench/reference.json FOUND in
-    CHANGES.md; see frac_kernel._abel_left).
+    dominated by the 2 * k_max Caputo images, built in one caputo_images
+    call, the one caller of the direct sum: about k_max * n**2 / 2
+    multiply-adds per side from k_max * (n + 1) >= 60,000 samples, twice
+    that below.  Every image is bit-identical to a per-row build, as the
+    benchmark's phi/psi references require (ROADMAP items 2-3; see
+    frac_kernel.caputo_images).
     """
     grid = Grid(config.T, config.n)
     t = grid.nodes
@@ -150,10 +144,7 @@ def build_space(config: SpaceConfig) -> SpaceModel:
     basis[:, -1] = 0.0
     basis_deriv = (k * math.pi / config.T) * np.cos(phase)
 
-    order = FracOrder.derivative(config.alpha)
-    derivs = GridFunction(grid, basis_deriv)
-    left = caputo_left(derivs, order).values
-    right = caputo_right(derivs, order).values
+    left, right = caputo_images(GridFunction(grid, basis_deriv), config.alpha)
 
     return SpaceModel(
         config=config,

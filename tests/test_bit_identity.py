@@ -1,13 +1,15 @@
-"""The stacked Abel kernel gives the bits of the per-row kernel.
+"""Each path of the Abel kernel gives a stacked row the bits of a lone row.
 
 The benchmark's phi/psi references hold solves that stop short of their
 minimizer, so a roundoff change in a Caputo image moves them past their
-tolerance.  These tests pin the contract that no kernel path changes a
-bit: every SpaceModel array against a per-row oracle build, stacked
-operator calls against row-by-row calls on both sides of the size at
+tolerance.  These tests pin the direct sum behind those images
+(caputo_images): every SpaceModel array against a per-row oracle build,
+stacked calls against row-by-row calls on both sides of the size at
 which the per-node loop takes over, and repeated builds against each
-other.  Rerun them under OPENBLAS_NUM_THREADS=2: n = 16384 puts the dot
-products above OpenBLAS's threaded-ddot cut-off.
+other.  They also pin that the FFT operators give each row of a stack
+the bits of a call on its own, which keeps the weak residual's bits.
+Rerun them under OPENBLAS_NUM_THREADS=2: n = 16384 puts the direct
+sum's dot products above OpenBLAS's threaded-ddot cut-off.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from fracvar.frac_kernel import (
     Grid,
     GridFunction,
+    caputo_images,
     caputo_left,
     caputo_right,
     rl_left_integral,
@@ -75,15 +78,20 @@ def test_stacked_operators_equal_row_by_row(rows, n, gamma, seed):
         assert got.shape == stack.shape
         for r, row in enumerate(stack):
             assert np.array_equal(got[r], op(GridFunction(grid, row), order).values), (op, r)
+    images = caputo_images(u, 1.0 - gamma)
+    for r, row in enumerate(stack):
+        lone = caputo_images(GridFunction(grid, row), 1.0 - gamma)
+        for side, got in enumerate(images):
+            assert got.shape == stack.shape
+            assert np.array_equal(got[r], lone[side]), (side, r)
 
 
 def test_stacked_kernel_matches_oracle_above_threaded_dot_cutoff():
     # 16383-term dots: OpenBLAS splits these over threads when it has them
     grid = Grid(1.0, 16384)
     stack = np.random.default_rng(7).standard_normal((4, grid.n + 1))
-    left = rl_left_integral(GridFunction(grid, stack), 0.4).values
-    right = rl_right_integral(GridFunction(grid, stack), 0.4).values
+    left, right = caputo_images(GridFunction(grid, stack), 0.6)
     for r, row in enumerate(stack):
         assert np.array_equal(left[r], abel_left_ref(row, 0.4, grid.h)), r
         mirrored = abel_left_ref(row[::-1].copy(), 0.4, grid.h)[::-1]
-        assert np.array_equal(right[r], mirrored), r
+        assert np.array_equal(right[r], -mirrored), r

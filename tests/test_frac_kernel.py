@@ -14,7 +14,6 @@ from fracvar.frac_kernel import (
     FracOrder,
     Grid,
     GridFunction,
-    abel_left_fft,
     caputo_left,
     caputo_right,
     cumulative_trapezoid,
@@ -182,23 +181,27 @@ def test_left_integral_is_linear(a, b):
 
 # ------------------------------------------------------ fast quadrature
 
-# abel_left_fft is the direct rule to FFT roundoff, not bit for bit: on
-# standard normal rows it measured at most 3e-15 of max|ref| (n <= 16384,
-# gamma <= 0.99)
+# the operators take the rule by FFT: the direct sum to roundoff, not bit
+# for bit; on standard normal rows they measured at most 3e-15 of max|ref|
+# (n <= 16384, gamma <= 0.99)
 FFT_REL_TOL = 1e-14
 
 
-def _assert_fft_matches_oracle(stack, gamma, h):
-    # the right integral the way the weak residual takes it: the left one
-    # of the reversed samples, reversed back
-    left = abel_left_fft(stack, gamma, h)
-    right = abel_left_fft(stack[:, ::-1], gamma, h)[:, ::-1]
-    for r, row in enumerate(stack):
-        for got, ref in (
-            (left[r], abel_left_ref(row, gamma, h)),
-            (right[r], abel_left_ref(row[::-1].copy(), gamma, h)[::-1]),
-        ):
-            assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref)), r
+def _assert_operators_match_oracle(stack, gamma):
+    grid = Grid(1.0, stack.shape[1] - 1)
+    u = GridFunction(grid, stack)
+    # the Caputo pair at alpha = 1 - gamma / 2, a differentiation order for every gamma < 1
+    alpha = 1.0 - gamma / 2.0
+    sides = (
+        (rl_left_integral(u, gamma).values, rl_right_integral(u, gamma).values, gamma, 1.0),
+        (caputo_left(u, alpha).values, caputo_right(u, alpha).values, 1.0 - alpha, -1.0),
+    )
+    for left, right, g, sign in sides:
+        for r, row in enumerate(stack):
+            # the right rule is the left one of the reversed samples, reversed back
+            mirrored = abel_left_ref(row[::-1].copy(), g, grid.h)[::-1]
+            for got, ref in ((left[r], abel_left_ref(row, g, grid.h)), (right[r], sign * mirrored)):
+                assert np.max(np.abs(got - ref)) <= FFT_REL_TOL * np.max(np.abs(ref)), (g, r)
 
 
 @given(
@@ -209,24 +212,32 @@ def _assert_fft_matches_oracle(stack, gamma, h):
 )
 def test_fft_quadrature_matches_oracle(rows, n, gamma, seed):
     stack = np.random.default_rng(seed).standard_normal((rows, n + 1))
-    _assert_fft_matches_oracle(stack, gamma, 1.0 / n)
+    _assert_operators_match_oracle(stack, gamma)
 
 
 @pytest.mark.parametrize("gamma", [0.4, 0.99])
 def test_fft_quadrature_matches_oracle_at_refine_size(gamma):
-    # n = 16384 is the weak residual's largest grid in the benchmark
+    # n = 16384 is the largest grid of the benchmark's refine workload
     stack = np.random.default_rng(11).standard_normal((2, 16385))
-    _assert_fft_matches_oracle(stack, gamma, 1.0 / 16384)
+    _assert_operators_match_oracle(stack, gamma)
 
 
 def test_fft_quadrature_keeps_zero_rows_exact():
     # a zero record's residual is exactly 0.0 only if zero images stay zero
+    grid = Grid(1.0, 1024)
     stack = np.zeros((3, 1025))
     stack[1] = np.random.default_rng(2).standard_normal(1025)
-    out = abel_left_fft(stack, 0.25, 1.0 / 1024)
-    assert np.array_equal(out[0], np.zeros(1025))
-    assert np.array_equal(out[2], np.zeros(1025))
-    assert np.any(out[1] != 0.0)
+    u = GridFunction(grid, stack)
+    for op, order in (
+        (rl_left_integral, 0.25),
+        (rl_right_integral, 0.25),
+        (caputo_left, 0.75),
+        (caputo_right, 0.75),
+    ):
+        out = op(u, order).values
+        assert np.array_equal(out[0], np.zeros(1025)), op
+        assert np.array_equal(out[2], np.zeros(1025)), op
+        assert np.any(out[1] != 0.0), op
 
 
 def test_cumulative_trapezoid_matches_prefix_sums():

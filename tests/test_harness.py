@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracvar import codec
+from fracvar import codec, harness
 from fracvar.conditions import ConditionReport
 from fracvar.energy import affine_power, from_tag, zero_datum
 from fracvar.errors import HypothesisError
@@ -380,6 +380,20 @@ def test_cli_kernel_verify_exits_clean(capsys):
     assert rc == 0
     assert "pass" in out
     assert "fail" not in out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T", ["1e300", "1e200", "1e-300"])
+def test_cli_kernel_verify_rejects_an_extreme_T_before_any_work(capsys, monkeypatch, T):
+    # 1e300 and 1e200 overflow the closed forms, 1e-300 underflows them to 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("an operator ran")
+
+    monkeypatch.setattr(harness, "rl_left_integral", no_work)
+    assert cli_main(["kernel-verify", "--T", T]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fracvar: error: kernel-verify at T=") and err.count("\n") == 1
 
 
 def test_cli_conditions_emits_json(tmp_path, capsys):

@@ -23,12 +23,7 @@ from fracvar.energy import (
     zero_datum,
 )
 from fracvar.errors import HypothesisError
-from fracvar.frac_kernel import (
-    GridFunction,
-    cumulative_trapezoid,
-    rl_left_integral,
-    rl_right_integral,
-)
+from fracvar.frac_kernel import cumulative_trapezoid
 from fracvar.harness import ray_scan
 from fracvar.problem import ProblemSpec
 from fracvar.solver import (
@@ -43,7 +38,7 @@ from fracvar.solver import (
 )
 from fracvar.space import SpectralElement, build_space, norms, synthesize
 
-from oracles import fd_newton_bvp
+from oracles import abel_left_ref, fd_newton_bvp
 from probes import decayed_coeffs
 
 
@@ -479,10 +474,10 @@ def test_weak_residual_matches_record(problem_mid, sol_mid):
 
 
 def _map_by_direct_kernel(c, mu, nl, model):
-    # the first-order map with both integrals by the direct product-trapezoid sum
+    # the first-order map with both integrals by the per-row direct product-trapezoid sum
     grid, order = model.grid, 1.0 - model.alpha
-    left = rl_left_integral(GridFunction(grid, c @ model.caputo_left_images), order).values
-    right = rl_right_integral(GridFunction(grid, c @ model.caputo_right_images), order).values
+    left = abel_left_ref(c @ model.caputo_left_images, order, grid.h)
+    right = abel_left_ref((c @ model.caputo_right_images)[::-1].copy(), order, grid.h)[::-1]
     forcing = mu * cumulative_trapezoid(nl.f(c @ model.basis), grid.h)
     return left - right + forcing
 
