@@ -16,9 +16,12 @@ max_iters; the (4096, 256) rung takes about 30 s per repeat on one
 core of a 2-core VM.
 
 The script pins its process to one CPU, so minimize forks no child and
-runs every restart serially, in this process, where each is timed; the
-times stay comparable with the committed baseline.  A rung whose clock
-saw fewer restarts than the record has candidates fails.
+runs every restart serially, in this process, where each is timed, and
+build_space builds both sides of its Caputo images here too, where
+space.build times them (from (2048, 128) up it would fork one side on
+two CPUs).  So the times stay comparable with the committed baseline.
+A rung whose clock saw fewer restarts than the record has candidates
+fails.
 
 The BLAS thread cap is set to 1 before numpy loads, by importing
 perfbench/run.py, and the file records perfbench's provenance (git

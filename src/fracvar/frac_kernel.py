@@ -14,7 +14,10 @@ to the direct sum to roundoff, and a stack of functions on one grid
 shares one kernel.  kernel_verify and the weak residual call them.
 caputo_images, which only build_space calls, forms the sum directly,
 because the benchmark's references pin the bits of its images (ROADMAP
-item 3 moves it to the FFT).
+item 3 moves it to the FFT).  Above a work crossover it builds its two
+sides at once, one in a child forked for the call (forked.forked_map);
+each row's bits come from its own dot products, so they are the same in
+either process.
 
 The order-alpha Caputo derivative consumes samples of u' rather than u;
 at alpha = 1 both one-sided derivatives reduce exactly to +/- u' and the
@@ -27,6 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .forked import _available_cpus, _blas_threads, forked_map
 
 __all__ = [
     "GAMMA_MAX_ARGUMENT",
@@ -208,6 +213,11 @@ def _order(order, differentiation: bool) -> float:
 _STACKED_MIN_SAMPLES = 60_000
 # bytes of rows per tile of the per-node loop, so row prefixes stay in L2
 _TILE_BYTES = 1 << 20
+# rows * (n + 1)**2 from which caputo_images builds its two sides at once,
+# one in a forked child: forking, pickling a side back and reaping cost a
+# few ms, and a side takes about 0.04 s at n = 4096, 16 rows (2.7e8) and
+# 0.01 s at n = 2048 (6.7e7); measured on a 2-core VM, one BLAS thread
+_FORKED_MIN_WORK = 1.5e8
 
 
 def _product_weights(n: int, gamma: float, h: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -385,6 +395,15 @@ def caputo_images(u_prime: GridFunction, order) -> tuple[np.ndarray, np.ndarray]
     twice the multiply-adds but no per-node Python call.  np.convolve
     makes the same cblas_ddot call on the same operands as np.vecdot, so
     both give the same bits (tests check 1 and 2 BLAS threads).
+
+    From rows * (n + 1)**2 >= _FORKED_MIN_WORK, with CPUs for two
+    processes' BLAS threads (two CPUs with the BLAS capped at one thread,
+    as OPENBLAS_NUM_THREADS=1 does), this process builds one side while a
+    child forked for the call builds the other and pickles it back
+    (forked.forked_map).  The work is split by side, not by rows: fewer
+    rows per np.vecdot call would only add calls.  Below that crossover,
+    with fewer CPUs, no fork start method or in a daemonic process, both
+    sides are built here.  Either way the images are the same bits.
     """
     alpha = _order(order, differentiation=True)
     values = u_prime.values
@@ -395,9 +414,19 @@ def caputo_images(u_prime: GridFunction, order) -> tuple[np.ndarray, np.ndarray]
         convolve = _per_row_convolution
     else:
         convolve = _kept_convolution
-    left = _product_trapezoid(values, gamma, h, convolve)
-    mirrored = _product_trapezoid(values[..., ::-1].copy(), gamma, h, convolve)
-    return left, -mirrored[..., ::-1]
+
+    def side(right: bool) -> np.ndarray:
+        if not right:
+            return _product_trapezoid(values, gamma, h, convolve)
+        mirrored = _product_trapezoid(values[..., ::-1].copy(), gamma, h, convolve)
+        return -mirrored[..., ::-1]
+
+    work = values.size * values.shape[-1]  # rows * (n + 1)**2
+    # each process's BLAS threads need CPUs of their own: on 2 CPUs with two
+    # BLAS threads, a forked n = 16384 build took 7-25 s against 1 s serially
+    workers = _available_cpus() // _blas_threads() if work >= _FORKED_MIN_WORK else 1
+    left, right = forked_map(side, (False, True), workers, label="Caputo image")
+    return left, right
 
 
 def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:

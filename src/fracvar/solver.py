@@ -14,11 +14,6 @@ the records are the serial ones bit for bit.
 from __future__ import annotations
 
 import math
-import mmap
-import multiprocessing
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
@@ -27,7 +22,7 @@ import numpy as np
 from . import conditions as cond
 from .codec import JsonCodec, custom
 from .energy import EnergyAssembly, Nonlinearity
-from .errors import FracvarError
+from .forked import _available_cpus, forked_map
 from .frac_kernel import (
     FracOrder,
     GridFunction,
@@ -216,87 +211,6 @@ def _descend(
     return dict(x=x, energy=Jx, phi=phi, grad_norm=gn, iters=it, backtracks=backtracks, stop=stop)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_restarts(starts: list, descend) -> list[dict]:
-    """descend(x0) for each start, in start order, shared with forked children.
-
-    This process and min(len(starts), available CPUs) - 1 forked children
-    take the next unclaimed start from one shared counter.  Each child
-    pickles back its {index: run}, or the exception a run raised, which is
-    raised here as it is; a child that sent no whole result (it died, or
-    its exception does not pickle) raises FracvarError.  Every child is
-    reaped before this returns, and killed first if this raises.  Serial
-    with one worker, no fork start method, or in a daemonic process.
-    """
-    workers = min(len(starts), _available_cpus())
-    if (
-        workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return [descend(x0) for x0 in starts]
-    # the next unclaimed start, in an anonymous shared map: it holds no file
-    # descriptor, while a multiprocessing.Value's heap keeps one for good
-    claimed = memoryview(mmap.mmap(-1, 8)).cast("q")
-    lock = multiprocessing.get_context("fork").Lock()
-
-    def share() -> dict:
-        runs = {}
-        while True:
-            with lock:
-                i, claimed[0] = claimed[0], claimed[0] + 1
-            if i >= len(starts):
-                return runs
-            runs[i] = descend(starts[i])
-
-    children = []
-    try:
-        for _ in range(workers - 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:  # the child: its share sent back, then out at once
-                try:
-                    with os.fdopen(w, "wb") as out:
-                        try:
-                            result = share()
-                        except BaseException as exc:
-                            result = exc
-                        pickle.dump(result, out)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        runs = share()
-        for _, reader in children:
-            try:
-                result = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise FracvarError("a restart worker process died") from exc
-            if isinstance(result, BaseException):
-                raise result
-            runs.update(result)
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, reader in children:
-            reader.close()
-            os.waitpid(pid, 0)
-    return [runs[i] for i in range(len(starts))]
-
-
 def _checked_mu(mu) -> float:
     """mu as a float; ValueError unless it is finite and nonnegative."""
     mu = float(mu)
@@ -324,8 +238,9 @@ def minimize(
     with converged=False rather than raising, so sweeps survive bad
     points.  model is assembly.space, built when no assembly is given;
     any other model is a ValueError.  The restarts run in this process
-    and in children forked for the call (_run_restarts); the record is
-    the same bytes as serial restarts give.
+    and in children forked for the call, one per available CPU
+    (forked.forked_map); the record is the same bytes as serial restarts
+    give.
     """
     mu = _checked_mu(mu)
     cfg = problem.solver
@@ -351,7 +266,12 @@ def minimize(
         d = rng.standard_normal(k)
         na = math.sqrt(float(d @ G @ d))
         starts.append(d * (_START_AMPLITUDES[(j - 1) % len(_START_AMPLITUDES)] / na))
-    runs = _run_restarts(starts, lambda x0: _descend(x0, mu, nl, assembly, cap, cfg, t0))
+    runs = forked_map(
+        lambda x0: _descend(x0, mu, nl, assembly, cap, cfg, t0),
+        starts,
+        _available_cpus(),
+        label="restart",
+    )
     with np.errstate(all="ignore"):  # a nonfinite restart's own numbers may overflow
         for run in runs:
             x = run["x"]

@@ -6,6 +6,9 @@ per session; individual tests must not mutate them.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -54,3 +57,15 @@ def problem_mid(nl_two_power):
 def problem_small(nl_two_power):
     """Cheap configuration for sweep and CLI tests."""
     return ProblemSpec(alpha=0.75, T=1.0, n=256, k_max=16, nonlinearity=nl_two_power)
+
+
+@pytest.fixture
+def no_spawn(monkeypatch):
+    """Any process started, by os.fork or multiprocessing, fails the test."""
+
+    def refuse(*args):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    for process in (multiprocessing.context.SpawnProcess, multiprocessing.context.ForkProcess):
+        monkeypatch.setattr(process, "start", refuse)

@@ -64,6 +64,22 @@ def test_kernel_verify_convergence_row(kv_rows):
     assert all(r.measured >= 1.5 for r in order_rows)
 
 
+_H_SCALED_ROWS = ("integration by parts", "left composition", "right composition")
+
+
+@pytest.mark.parametrize("T", [0.01, 0.1, 10.0, 100.0])
+def test_kernel_verify_passes_and_reads_the_same_at_every_T(T):
+    # the probes are functions of t / T and the h-scaled rows are measured in
+    # their units, so a working kernel passes at any T with T = 1's figures
+    for seed in range(8):
+        rows = {r.name: r for r in kernel_verify(0.75, T, 512, seed=seed)}
+        at_one = {r.name: r for r in kernel_verify(0.75, 1.0, 512, seed=seed)}
+        assert all(r.ok for r in rows.values()), (seed, [r for r in rows.values() if not r.ok])
+        for name in _H_SCALED_ROWS:
+            assert rows[name].threshold == pytest.approx(at_one[name].threshold, rel=1e-12)
+            assert rows[name].measured == pytest.approx(at_one[name].measured, rel=1e-6)
+
+
 def test_kernel_verify_deterministic():
     a = kernel_verify(0.75, 1.0, 256)
     b = kernel_verify(0.75, 1.0, 256)
@@ -383,9 +399,10 @@ def test_cli_kernel_verify_exits_clean(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("T", ["1e300", "1e200", "1e-300"])
+@pytest.mark.parametrize("T", ["1e300", "1e200", "1.8e123", "1e-300"])
 def test_cli_kernel_verify_rejects_an_extreme_T_before_any_work(capsys, monkeypatch, T):
-    # 1e300 and 1e200 overflow the closed forms, 1e-300 underflows them to 0
+    # 1e300 and 1e200 overflow the closed forms, 1e-300 underflows them to 0;
+    # at 1.8e123 only the product 2 * T**2.5 overflows, to inf without an error
     def no_work(*args, **kwargs):
         raise AssertionError("an operator ran")
 

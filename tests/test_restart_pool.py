@@ -33,26 +33,7 @@ from fracvar.errors import FracvarError
 from fracvar.problem import ProblemSpec
 from fracvar.solver import minimize
 
-_DEADLINE_S = 60
-
-
-@contextlib.contextmanager
-def _deadline(seconds: float = _DEADLINE_S):
-    def expire(signum, frame):
-        raise TimeoutError(f"test exceeded its {seconds} s deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from forking import DEADLINE_S, assert_no_child_left, deadline
 
 
 @pytest.fixture
@@ -86,7 +67,7 @@ def forks(monkeypatch, two_cpus):
             os.write(begun_w, b".")
         elif armed:
             armed.clear()
-            ready, _, _ = select.select([begun_r], [], [], _DEADLINE_S / 2)
+            ready, _, _ = select.select([begun_r], [], [], DEADLINE_S / 2)
             assert ready, "no child began a restart"
         return descend(*args)
 
@@ -103,16 +84,6 @@ def _serially(monkeypatch, solve):
     return solve()
 
 
-@pytest.fixture
-def no_spawn(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    for process in (multiprocessing.context.SpawnProcess, multiprocessing.context.ForkProcess):
-        monkeypatch.setattr(process, "start", refuse)
-
-
 def _problem(nl: Nonlinearity) -> ProblemSpec:
     return ProblemSpec(alpha=0.75, T=1.0, n=256, k_max=16, nonlinearity=nl)
 
@@ -127,10 +98,10 @@ _DATA = {
 @pytest.mark.parametrize("name", sorted(_DATA))
 def test_pooled_sweep_is_serial_minimize_bit_for_bit(name, forks, monkeypatch):
     problem = _problem(_DATA[name])
-    with _deadline():  # inside (0, mu_star) for each datum; affine_power's is 0.46
+    with deadline():  # inside (0, mu_star) for each datum; affine_power's is 0.46
         sweep = harness.run_sweep(problem, 0.02, 0.2, 4)
     assert len(forks) == 4  # one child for each point
-    _assert_no_child_left()
+    assert_no_child_left()
 
     model, assembly = problem.build()
     monkeypatch.setattr(solver, "_available_cpus", lambda: 1)
@@ -150,10 +121,10 @@ def test_lone_minimize_runs_on_its_own_pool_bit_for_bit(name, forks, monkeypatch
     problem = _problem(_DATA[name])
     model, assembly = problem.build()
     solve = functools.partial(minimize, problem, 0.1, model=model, assembly=assembly)
-    with _deadline():
+    with deadline():
         forked = solve()
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
     assert forked.json_str() == _serially(monkeypatch, solve).json_str()
 
 
@@ -168,15 +139,15 @@ def test_pool_is_gone_when_run_sweep_raises(forks, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(harness, "minimize", fail_second)
-    with _deadline(), pytest.raises(RuntimeError, match="solve failed"):
+    with deadline(), pytest.raises(RuntimeError, match="solve failed"):
         harness.run_sweep(_problem(_DATA["power_sum"]), 0.05, 0.5, 4)
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_one_cpu_sweeps_serially_without_a_process(monkeypatch, no_spawn):
     monkeypatch.setattr(solver, "_available_cpus", lambda: 1)
-    with _deadline():
+    with deadline():
         sweep = harness.run_sweep(_problem(_DATA["power_sum"]), 0.05, 0.5, 4)
     assert sweep.negativity_verdict
 
@@ -187,7 +158,7 @@ def test_callers_that_cannot_spawn_sweep_serially(caller, monkeypatch, two_cpus,
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     else:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    with _deadline():
+    with deadline():
         sweep = harness.run_sweep(_problem(_DATA["power_sum"]), 0.05, 0.5, 4)
     assert sweep.negativity_verdict
 
@@ -205,7 +176,7 @@ def test_lone_minimize_that_cannot_spawn_runs_serially(caller, monkeypatch, two_
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     else:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    with _deadline():
+    with deadline():
         sol = minimize(problem, 0.1)
     assert len(sol.candidates) == problem.solver.restarts
 
@@ -227,10 +198,10 @@ def test_datum_outside_the_catalog_gets_a_pool(forks, monkeypatch):
     problem = ProblemSpec(alpha=1.0, T=1.0, n=128, k_max=8, nonlinearity=linear)
     _, assembly = problem.build()
     solve = functools.partial(minimize, problem, 5.0, assembly=assembly, gamma_bar=1.0)
-    with _deadline():
+    with deadline():
         forked = solve()
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
     assert forked.json_str() == _serially(monkeypatch, solve).json_str()
 
 
@@ -243,7 +214,7 @@ def test_pools_in_two_threads_keep_their_own_data(monkeypatch, two_cpus):
     def hold_first_main_fork():
         if threading.current_thread() is threading.main_thread() and not a_held.is_set():
             a_held.set()
-            assert b_solved.wait(_DEADLINE_S / 2), "thread B never solved"
+            assert b_solved.wait(DEADLINE_S / 2), "thread B never solved"
         return fork()
 
     monkeypatch.setattr(os, "fork", hold_first_main_fork)
@@ -251,7 +222,7 @@ def test_pools_in_two_threads_keep_their_own_data(monkeypatch, two_cpus):
 
     def solve_b():
         try:
-            assert a_held.wait(_DEADLINE_S / 2), "the main thread never forked"
+            assert a_held.wait(DEADLINE_S / 2), "the main thread never forked"
             minimize(_problem(_DATA["affine_power"]), 0.1)
         except Exception as exc:
             failures.append(exc)
@@ -263,14 +234,14 @@ def test_pools_in_two_threads_keep_their_own_data(monkeypatch, two_cpus):
     solve = functools.partial(minimize, problem, 0.1, model=model, assembly=assembly)
     b = threading.Thread(target=solve_b)
     b.start()
-    with _deadline():
+    with deadline():
         try:
             forked = solve()
         finally:
-            b.join(_DEADLINE_S / 2)
+            b.join(DEADLINE_S / 2)
     assert not b.is_alive()
     assert failures == []
-    _assert_no_child_left()
+    assert_no_child_left()
     assert forked.json_str() == _serially(monkeypatch, solve).json_str()
 
 
@@ -293,9 +264,9 @@ def test_dead_worker_raises_fracvar_error(forks, monkeypatch):
     for death in (_die_unsent, _die_half_sent):
         monkeypatch.setattr(pickle, "dump", death)
         for solve in (sweep, lone):
-            with _deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
+            with deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
                 solve()
-            _assert_no_child_left()
+            assert_no_child_left()
     assert len(forks) == 4
 
 
@@ -313,10 +284,10 @@ def test_exception_in_a_child_reaches_the_caller(forks, monkeypatch):
         return run
 
     monkeypatch.setattr(solver, "_descend", fail_in_child)
-    with _deadline(), pytest.raises(_RestartFailed, match="in the child"):
+    with deadline(), pytest.raises(_RestartFailed, match="in the child"):
         minimize(_problem(_DATA["power_sum"]), 0.1)
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_exception_here_kills_the_children(two_cpus, monkeypatch):
@@ -326,12 +297,12 @@ def test_exception_here_kills_the_children(two_cpus, monkeypatch):
     def descend(*args):
         if os.getpid() == parent:
             raise _RestartFailed("in this process")
-        time.sleep(_DEADLINE_S)
+        time.sleep(DEADLINE_S)
 
     monkeypatch.setattr(solver, "_descend", descend)
-    with _deadline(_DEADLINE_S / 4), pytest.raises(_RestartFailed, match="in this process"):
+    with deadline(DEADLINE_S / 4), pytest.raises(_RestartFailed, match="in this process"):
         minimize(_problem(_DATA["power_sum"]), 0.1)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _open_fds() -> list[str]:
@@ -347,11 +318,11 @@ def test_forked_solves_leave_no_descriptor_open(forks, monkeypatch):
     model, assembly = problem.build()
     solve = functools.partial(minimize, problem, 0.1, model=model, assembly=assembly)
     before = _open_fds()
-    with _deadline():
+    with deadline():
         solve()
     assert _open_fds() == before
     monkeypatch.setattr(pickle, "dump", _die_unsent)
-    with _deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
+    with deadline(), pytest.raises(FracvarError, match="a restart worker process died"):
         solve()
     assert _open_fds() == before
     assert len(forks) == 2
@@ -390,13 +361,13 @@ def test_script_without_main_guard_sweeps_on_the_pool(tmp_path):
         start_new_session=True,
     )
     try:
-        out, err = proc.communicate(timeout=_DEADLINE_S)
+        out, err = proc.communicate(timeout=DEADLINE_S)
     finally:
         leftover = _group_alive(proc.pid)
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.kill()
-    assert time.monotonic() - started < _DEADLINE_S
+    assert time.monotonic() - started < DEADLINE_S
     assert proc.returncode == 0, err
     assert "finished" in out
     assert not leftover, "the script left a process behind"
