@@ -281,20 +281,22 @@ class EnergyAssembly:
         energy(c, phi=None) returns (J, synthesis), reusing Phi of c when
         given; gradient(c, synthesis) returns (M_s + M_s) c - mu B (w f(u)),
         the exact derivative of the discrete energy (M_s + M_s is M + M').
+        The synthesis c B and the adjoint B y are the space's synthesize
+        and analyze.
         """
-        B = self.space.basis
+        synthesize, analyze = self.space.synthesize, self.space.analyze
         w = self.space.weights
         M_sum = self.symmetric + self.symmetric
         phi_of, psi_of, f = self.phi, self.psi, nl.f
 
         def energy(c: np.ndarray, phi: float | None = None):
-            synth = c @ B
+            synth = synthesize(c)
             if phi is None:
                 phi = phi_of(c)
             return phi - mu * psi_of(synth, nl), synth
 
         def gradient(c: np.ndarray, synth: np.ndarray) -> np.ndarray:
-            return M_sum @ c - mu * (B @ (w * np.asarray(f(synth), dtype=float)))
+            return M_sum @ c - mu * analyze(w * np.asarray(f(synth), dtype=float))
 
         return energy, gradient
 

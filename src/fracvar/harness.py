@@ -392,15 +392,16 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
     v, dv = _random_smooth(rng, grid, T)
     a_c, b_c = 1.7, -0.3
     defect = 0.0
-    for op, f1, f2 in (
-        (lambda x: rl_left_integral(x, 0.5).values, u, v),
-        (lambda x: rl_right_integral(x, 0.5).values, u, v),
-        (lambda x: caputo_left(x, alpha).values, du, dv),
-        (lambda x: caputo_right(x, alpha).values, du, dv),
+    # each defect in its operator's output units (T**0.5, T**-alpha): 1.0 at T = 1
+    for op, f1, f2, scale in (
+        (lambda x: rl_left_integral(x, 0.5).values, u, v, T**0.5),
+        (lambda x: rl_right_integral(x, 0.5).values, u, v, T**0.5),
+        (lambda x: caputo_left(x, alpha).values, du, dv, T**-alpha),
+        (lambda x: caputo_right(x, alpha).values, du, dv, T**-alpha),
     ):
         mixed = op(GridFunction(grid, a_c * f1 + b_c * f2))
         split = a_c * op(GridFunction(grid, f1)) + b_c * op(GridFunction(grid, f2))
-        defect = max(defect, float(np.max(np.abs(mixed - split))))
+        defect = max(defect, float(np.max(np.abs(mixed - split))) / scale)
     rows.append(IdentityRow("linearity", defect, KV_LIN_TOL))
 
     errs = []

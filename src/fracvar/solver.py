@@ -294,7 +294,7 @@ def minimize(
 
         u = SpectralElement(best["x"])
         nm = norms(u, model)
-        synth = u.coeffs @ model.basis
+        synth = model.synthesize(u.coeffs)
         phi = assembly.phi(u.coeffs)
         psi = assembly.psi(synth, nl)
         energy = phi - mu * psi
@@ -329,19 +329,20 @@ def weak_residual_values(
     The map is the left fractional integral of order 1 - alpha of the
     left Caputo image, minus the right integral of the right image, plus
     the running integral of mu f(u).  At alpha = 1 both integrals are
-    the identity and the map reduces to 2 u' + mu int f(u).
+    the identity and the map reduces to 2 u' + mu int f(u).  The right
+    image and u come from the model's right_images and synthesize.
     """
     c = np.asarray(coeffs, dtype=float)
     grid = model.grid
     dl = c @ model.caputo_left_images
-    dr = c @ model.caputo_right_images
+    dr = model.right_images(c)
     if model.alpha == 1.0:
         left, right = dl, dr
     else:
         order = 1.0 - model.alpha
         left = rl_left_integral(GridFunction(grid, dl), order).values
         right = rl_right_integral(GridFunction(grid, dr), order).values
-    synth = c @ model.basis
+    synth = model.synthesize(c)
     forcing = mu * cumulative_trapezoid(np.asarray(nl.f(synth), dtype=float), grid.h)
     return left - right + forcing
 
@@ -372,14 +373,15 @@ def weak_residual(
 
 
 def residual_tolerance(alpha, n: int, T: float = 1.0) -> float:
-    """Accepted residual at resolution n: coeff * h^(1 - alpha).
+    """Accepted residual: coeff * (1 / n)^(1 - alpha) * T^(1 - 2 alpha).
 
-    The reduced exponent reflects the endpoint-singular kernels; the
-    coefficient is calibrated, not guessed.
+    h^(1 - alpha) with h = T / n read in units of T, times the scale of
+    the weak residual's map, so a rescaled record keeps its verdict; at
+    T = 1 it is coeff * h^(1 - alpha) bit for bit.  The reduced exponent
+    reflects the endpoint-singular kernels; the coefficient is calibrated.
     """
     a = FracOrder.derivative(alpha).value
-    h = T / float(n)
-    return RESIDUAL_TOL_COEFF * h ** (1.0 - a)
+    return RESIDUAL_TOL_COEFF * (1.0 / n) ** (1.0 - a) * T ** (1.0 - 2.0 * a)
 
 
 @dataclass(frozen=True)
@@ -407,8 +409,8 @@ def certify(
     """Check a converged record against its guarantees.
 
     inf_norm_bound: sup norm within gamma_bar plus slack; residual_ok:
-    weak residual under the calibrated resolution tolerance; interior:
-    Phi strictly inside the sublevel radius.
+    weak residual under residual_tolerance, in the map's own units at
+    every T; interior: Phi strictly inside the sublevel radius.
     """
     tol = residual_tolerance(problem.alpha, problem.n, problem.T)
     assert_negativity = (

@@ -68,7 +68,10 @@ class SpaceModel:
     of sin(k pi t / T).  caputo_left_images / caputo_right_images are the
     order-alpha one-sided derivative images of each basis function,
     produced by frac_kernel.caputo_images from the analytic derivatives,
-    which the model does not keep.
+    which the model does not keep.  synthesize, its adjoint analyze and
+    right_images are the only readers of basis and caputo_right_images
+    at the level of vectors; build_assembly and audit_embeddings read
+    the whole matrices.
     """
 
     config: SpaceConfig
@@ -81,6 +84,18 @@ class SpaceModel:
     def __post_init__(self) -> None:
         for name in ("basis", "caputo_left_images", "caputo_right_images", "weights"):
             getattr(self, name).setflags(write=False)
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """Nodal values of the element with coefficients c; both ends exactly 0."""
+        return c @ self.basis
+
+    def analyze(self, y: np.ndarray) -> np.ndarray:
+        """Adjoint of synthesize: the k_max sums of y against each mode's nodal samples."""
+        return self.basis @ y
+
+    def right_images(self, c: np.ndarray) -> np.ndarray:
+        """Nodal values of the right Caputo derivative of the element with coefficients c."""
+        return c @ self.caputo_right_images
 
     @property
     def k_max(self) -> int:
@@ -171,7 +186,7 @@ def _check_element(u: SpectralElement, model: SpaceModel) -> np.ndarray:
 def synthesize(u: SpectralElement, model: SpaceModel) -> GridFunction:
     """Nodal values of the element; boundary values are exactly 0."""
     coeffs = _check_element(u, model)
-    return GridFunction(model.grid, coeffs @ model.basis)
+    return GridFunction(model.grid, model.synthesize(coeffs))
 
 
 class Norms(NamedTuple):
@@ -191,7 +206,7 @@ def norms(u: SpectralElement, model: SpaceModel) -> Norms:
     """
     coeffs = _check_element(u, model)
     dleft = coeffs @ model.caputo_left_images
-    synth = coeffs @ model.basis
+    synth = model.synthesize(coeffs)
     w = model.weights
     norm_alpha = math.sqrt(float(w @ (dleft * dleft)))
     norm_l2 = math.sqrt(float(w @ (synth * synth)))

@@ -67,7 +67,7 @@ def test_kernel_verify_convergence_row(kv_rows):
 _H_SCALED_ROWS = ("integration by parts", "left composition", "right composition")
 
 
-@pytest.mark.parametrize("T", [0.01, 0.1, 10.0, 100.0])
+@pytest.mark.parametrize("T", [1e-20, 1e-6, 0.01, 0.1, 10.0, 100.0, 1e6, 1e20])
 def test_kernel_verify_passes_and_reads_the_same_at_every_T(T):
     # the probes are functions of t / T and the h-scaled rows are measured in
     # their units, so a working kernel passes at any T with T = 1's figures

@@ -519,7 +519,10 @@ def test_weak_residual_at_order_one_skips_the_integrals(classical_setup):
 
 def test_residual_tolerance_formula():
     assert residual_tolerance(0.75, 1024) == pytest.approx(0.05 * (1.0 / 1024) ** 0.25)
-    assert residual_tolerance(0.75, 1024, T=2.0) == pytest.approx(0.05 * (2.0 / 1024) ** 0.25)
+    # in the map's own units: h read in units of T, times the map's scale T**(1 - 2 alpha)
+    assert residual_tolerance(0.75, 1024, T=2.0) == pytest.approx(
+        0.05 * (1.0 / 1024) ** 0.25 * 2.0**-0.5
+    )
     # order one removes the fractional penalty entirely
     assert residual_tolerance(1.0, 1024) == pytest.approx(0.05)
     assert residual_tolerance(0.75, 4096) < residual_tolerance(0.75, 512)

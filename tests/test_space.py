@@ -3,6 +3,7 @@ inequality audit."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from fracvar.energy import build_assembly
 from fracvar.frac_kernel import euler_gamma
+from fracvar.solver import minimize, weak_residual
 from fracvar.space import (
     SpaceConfig,
+    SpaceModel,
     SpectralElement,
     audit_embeddings,
     build_space,
@@ -202,3 +205,42 @@ def test_unit_mode_layout():
         unit_mode(8, 0)
     with pytest.raises(ValueError):
         unit_mode(8, 9)
+
+
+def _with_nan(model, field, **methods):
+    """A copy of model whose array field is NaN, of a subclass with the given methods."""
+    arrays = {f.name: getattr(model, f.name) for f in dataclasses.fields(SpaceModel)}
+    arrays[field] = np.full_like(arrays[field], np.nan)
+    return type("Hidden", (SpaceModel,), methods)(**arrays)
+
+
+def test_vector_reads_of_basis_and_right_images_go_through_the_model(
+    problem_mid, model_mid, assembly_mid
+):
+    # the raw array is NaN and only the methods see the real one, so any read
+    # that bypasses synthesize, analyze or right_images changes the bytes
+    B, R = model_mid.basis, model_mid.caputo_right_images
+    no_basis = _with_nan(
+        model_mid, "basis", synthesize=lambda self, c: c @ B, analyze=lambda self, y: B @ y
+    )
+    no_right = _with_nan(model_mid, "caputo_right_images", right_images=lambda self, c: c @ R)
+
+    sol = minimize(problem_mid, 0.25, assembly=assembly_mid)
+    routed = minimize(problem_mid, 0.25, assembly=build_assembly(no_basis))
+    assert routed.json_str() == sol.json_str()
+    res = weak_residual(sol, problem_mid, model_mid)
+    assert weak_residual(sol, problem_mid, no_basis) == res
+    assert weak_residual(sol, problem_mid, no_right) == res
+    assert norms(sol.coeffs, no_basis) == norms(sol.coeffs, model_mid)
+    u = synthesize(sol.coeffs, model_mid).values
+    assert np.array_equal(synthesize(sol.coeffs, no_basis).values, u)
+
+
+def test_analyze_is_the_adjoint_of_synthesize(model_mid):
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        c = rng.standard_normal(model_mid.k_max)
+        y = rng.standard_normal(model_mid.config.n + 1)
+        u = model_mid.synthesize(c)
+        assert float(y @ u) == pytest.approx(float(c @ model_mid.analyze(y)), rel=1e-13)
+        assert u[0] == 0.0 and u[-1] == 0.0
