@@ -5,9 +5,12 @@ For each configs/*.json this runs, in process through harness.cli_main,
 `conditions`, `solve --mu 0.25`, `ray-scan` (csv, and json with
 `--count 7`) and `sweep --mu-min 0.05 --mu-max 0.5 --count 4` (json, csv
 with `--seed 3`, and `--out`, which also writes the .plot.dat file).
-Each run's stdout goes to DIR/<config>.<run>.<ext>, its exit code to
-DIR/EXIT_CODES, and the digest of every file to DIR/SHA256SUMS.  Two
-source trees print the same bytes when `diff -r` of their DIRs is empty:
+`kernel-verify`, which reads no config, runs once at its defaults and once
+at the benchmark's refine rows (`--alpha 0.6 --n 8192 --seed 3`).  Each
+run's stdout goes to DIR/<config>.<run>.<ext> (DIR/kernel_verify*.txt for
+kernel-verify), its exit code to DIR/EXIT_CODES, and the digest of every
+file to DIR/SHA256SUMS.  Two source trees print the same bytes when
+`diff -r` of their DIRs is empty:
 
     PYTHONPATH=src python scripts/cli_outputs.py --out DIR
 
@@ -34,6 +37,10 @@ RUNS = {
     "sweep_seed3.csv": [*SWEEP, "--seed", "3"],
     "sweep_out.txt": [*SWEEP, "--out", "{out}.sweep_out.csv"],
 }
+KERNEL_VERIFY_RUNS = {
+    "kernel_verify.txt": ["kernel-verify"],
+    "kernel_verify_refine.txt": ["kernel-verify", "--alpha", "0.6", "--n", "8192", "--seed", "3"],
+}
 
 
 def main(argv=None) -> int:
@@ -43,17 +50,22 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     codes = []
+
+    def run(target: str, argv: list[str]) -> None:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(argv)
+        # DIR's own path leaves the "wrote" lines, so two DIRs compare equal
+        text = stdout.getvalue().replace(f"{out}{os.sep}", "")
+        (out / target).write_text(text, encoding="utf-8")
+        codes.append(f"{code} {target}\n")
+
     for config in sorted((ROOT / "configs").glob("*.json")):
         for name, args in RUNS.items():
-            target = f"{config.stem}.{name}"
             argv = [a.format(out=out / config.stem) for a in args] + ["--config", str(config)]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli_main(argv)
-            # DIR's own path leaves the "wrote" lines, so two DIRs compare equal
-            text = stdout.getvalue().replace(f"{out}{os.sep}", "")
-            (out / target).write_text(text, encoding="utf-8")
-            codes.append(f"{code} {target}\n")
+            run(f"{config.stem}.{name}", argv)
+    for target, argv in KERNEL_VERIFY_RUNS.items():
+        run(target, argv)
     (out / "EXIT_CODES").write_text("".join(codes), encoding="utf-8")
 
     sums = "".join(

@@ -20,7 +20,7 @@ anchors the convergence-order row.
 import argparse
 import math
 
-from fracvar.frac_kernel import FracOrder, Grid, GridFunction, euler_gamma, rl_left_integral
+from fracvar.frac_kernel import Grid, GridFunction, euler_gamma, rl_left_integral
 from fracvar.harness import kernel_verify
 
 
@@ -41,7 +41,7 @@ def main() -> int:
         left = rows["left composition"]
         right = rows["right composition"]
 
-        out = rl_left_integral(GridFunction(g, g.nodes**2), FracOrder(0.5))
+        out = rl_left_integral(GridFunction(g, g.nodes**2), 0.5)
         rule = abs(out.values[-1] - euler_gamma(3.0) / euler_gamma(3.5) * g.T**2.5)
         # observed order over the step from the previous size, whatever its ratio
         rate = math.log(prev[1] / rule) / math.log(n / prev[0]) if prev else float("nan")

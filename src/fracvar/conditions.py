@@ -30,7 +30,7 @@ import numpy as np
 from .codec import JsonCodec
 from .energy import Nonlinearity, potential_peaks
 from .errors import HypothesisError
-from .frac_kernel import FracOrder, euler_gamma
+from .frac_kernel import check_order, euler_gamma
 
 __all__ = [
     "TriState",
@@ -66,12 +66,12 @@ class TriState(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def kappa_alpha(alpha, T: float) -> float:
+def kappa_alpha(alpha: float, T: float) -> float:
     """T^(2 alpha) / (Gamma(alpha)^2 |cos(pi alpha)| (2 alpha - 1)), finite and positive.
 
     A T that overflows it (1e300) or underflows it to 0 (1e-300) raises ValueError.
     """
-    a = FracOrder.derivative(alpha).value
+    a = check_order(alpha, differentiation=True)
     if not T > 0.0:
         raise ValueError(f"interval length must be positive, got T={T}")
     g = euler_gamma(a)
@@ -320,7 +320,7 @@ class ConditionReport(JsonCodec):
 
     kappa_alpha: float
     sup_ratio: float
-    gamma_bar: float | None
+    gamma_bar: float
     sup_at_boundary: bool
     mu_star: float
     lambda_right_endpoint: float | None

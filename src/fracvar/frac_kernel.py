@@ -38,7 +38,7 @@ __all__ = [
     "MIN_COS_MARGIN",
     "Grid",
     "GridFunction",
-    "FracOrder",
+    "check_order",
     "euler_gamma",
     "rl_left_integral",
     "rl_right_integral",
@@ -163,49 +163,27 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """A fractional order tagged by its use.
+def check_order(order: float, *, differentiation: bool) -> float:
+    """order as a float, checked as a differentiation or an integration order.
 
     Integration orders are any positive reals.  Differentiation orders
     live in (1/2, 1] and must keep |cos(pi * alpha)| >= 1e-6, since the
     energy estimates degrade like 1/|cos(pi * alpha)| near alpha = 1/2.
     """
-
-    value: float
-    differentiation: bool = False
-
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError(f"order must be finite, got {self.value!r}")
-        if self.differentiation:
-            if not (0.5 < v <= 1.0):
-                raise ValueError(
-                    f"differentiation order must lie in (1/2, 1], got {v}"
-                )
-            if abs(math.cos(math.pi * v)) < MIN_COS_MARGIN:
-                raise ValueError(
-                    f"differentiation order {v} is too close to 1/2: "
-                    f"|cos(pi a)| < {MIN_COS_MARGIN}"
-                )
-        elif not v > 0.0:
-            raise ValueError(f"integration order must be positive, got {v}")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def derivative(cls, alpha: float) -> "FracOrder":
-        return cls(alpha, differentiation=True)
-
-
-def _order(order, differentiation: bool) -> float:
-    """order's value, checked as a differentiation order if differentiation, else integration."""
-    if not isinstance(order, FracOrder):
-        return FracOrder(float(order), differentiation).value
-    if order.differentiation != differentiation:
-        uses = ("an integration order", "a differentiation order")
-        raise ValueError(f"expected {uses[differentiation]}, got {uses[not differentiation]}")
-    return order.value
+    v = float(order)
+    if not math.isfinite(v):
+        raise ValueError(f"order must be finite, got {order!r}")
+    if differentiation:
+        if not (0.5 < v <= 1.0):
+            raise ValueError(f"differentiation order must lie in (1/2, 1], got {v}")
+        if abs(math.cos(math.pi * v)) < MIN_COS_MARGIN:
+            raise ValueError(
+                f"differentiation order {v} is too close to 1/2: "
+                f"|cos(pi a)| < {MIN_COS_MARGIN}"
+            )
+    elif not v > 0.0:
+        raise ValueError(f"integration order must be positive, got {v}")
+    return v
 
 
 # rows * (n + 1) from which the per-node loop beats per-row np.convolve
@@ -319,7 +297,7 @@ def _abel_left(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
     return _product_trapezoid(values, gamma, h, _fft_convolution)
 
 
-def rl_left_integral(u: GridFunction, order) -> GridFunction:
+def rl_left_integral(u: GridFunction, order: float) -> GridFunction:
     """Left Riemann-Liouville integral of positive order.
 
     Parameters
@@ -327,7 +305,7 @@ def rl_left_integral(u: GridFunction, order) -> GridFunction:
     u : GridFunction
         Samples of the integrand, or a stack of integrands on one grid
         (one per row, each treated as if passed alone).
-    order : float or FracOrder
+    order : float
         Integration order gamma > 0.
 
     Returns
@@ -336,48 +314,48 @@ def rl_left_integral(u: GridFunction, order) -> GridFunction:
         Nodal values of the fractional integral, shaped like u; the value
         at t = 0 is 0.
     """
-    gamma = _order(order, differentiation=False)
+    gamma = check_order(order, differentiation=False)
     return GridFunction(u.grid, _abel_left(u.values, gamma, u.grid.h))
 
 
-def rl_right_integral(u: GridFunction, order) -> GridFunction:
+def rl_right_integral(u: GridFunction, order: float) -> GridFunction:
     """Right Riemann-Liouville integral, by reflection of the left rule.
 
     Mirror symmetry is exact: the result equals the left integral of the
     reversed samples, reversed back.  The value at t = T is 0.
     """
-    gamma = _order(order, differentiation=False)
+    gamma = check_order(order, differentiation=False)
     mirrored = _abel_left(u.values[..., ::-1].copy(), gamma, u.grid.h)
     return GridFunction(u.grid, mirrored[..., ::-1])
 
 
-def caputo_left(u_prime: GridFunction, order) -> GridFunction:
+def caputo_left(u_prime: GridFunction, order: float) -> GridFunction:
     """Left Caputo derivative of order alpha, from samples of u'.
 
     For alpha < 1 this is the left RL integral of order 1 - alpha applied
     to u'; at alpha = 1 it returns u' unchanged.
     """
-    alpha = _order(order, differentiation=True)
+    alpha = check_order(order, differentiation=True)
     if alpha == 1.0:
         return GridFunction(u_prime.grid, u_prime.values)
     return rl_left_integral(u_prime, 1.0 - alpha)
 
 
-def caputo_right(u_prime: GridFunction, order) -> GridFunction:
+def caputo_right(u_prime: GridFunction, order: float) -> GridFunction:
     """Right Caputo derivative of order alpha, from samples of u'.
 
     Carries the one-dimensional orientation sign: at alpha = 1 it returns
     -u', and for alpha < 1 it is minus the right RL integral of order
     1 - alpha applied to u'.
     """
-    alpha = _order(order, differentiation=True)
+    alpha = check_order(order, differentiation=True)
     if alpha == 1.0:
         return GridFunction(u_prime.grid, -u_prime.values)
     mirrored = rl_right_integral(u_prime, 1.0 - alpha)
     return GridFunction(u_prime.grid, -mirrored.values)
 
 
-def caputo_images(u_prime: GridFunction, order) -> tuple[np.ndarray, np.ndarray]:
+def caputo_images(u_prime: GridFunction, order: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right Caputo images of every row, with the sum formed directly.
 
     caputo_left and caputo_right of u_prime, each row bit for bit the
@@ -405,7 +383,7 @@ def caputo_images(u_prime: GridFunction, order) -> tuple[np.ndarray, np.ndarray]
     with fewer CPUs, no fork start method or in a daemonic process, both
     sides are built here.  Either way the images are the same bits.
     """
-    alpha = _order(order, differentiation=True)
+    alpha = check_order(order, differentiation=True)
     values = u_prime.values
     if alpha == 1.0:
         return values, -values

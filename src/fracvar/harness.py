@@ -23,11 +23,11 @@ from . import conditions as cond
 from .codec import JsonCodec
 from .errors import FracvarError, HypothesisError
 from .frac_kernel import (
-    FracOrder,
     Grid,
     GridFunction,
     caputo_left,
     caputo_right,
+    check_order,
     euler_gamma,
     rl_left_integral,
     rl_right_integral,
@@ -328,7 +328,7 @@ def kernel_verify(alpha: float, T: float, n: int, seed: int = 0) -> list[Identit
     not a finite, normal float.
     """
     grid, T = Grid(T=T, n=n), float(T)
-    alpha = FracOrder.derivative(alpha).value
+    alpha = check_order(alpha, differentiation=True)
     powers = (0.3, 0.5, 0.9)
     try:
         lin_exact = [T ** (g + 1.0) / euler_gamma(g + 2.0) for g in powers]

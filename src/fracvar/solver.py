@@ -24,13 +24,13 @@ from .codec import JsonCodec, custom
 from .energy import EnergyAssembly, Nonlinearity
 from .forked import _available_cpus, forked_map
 from .frac_kernel import (
-    FracOrder,
     GridFunction,
+    check_order,
     cumulative_trapezoid,
     rl_left_integral,
     rl_right_integral,
 )
-from .space import SpaceModel, SpectralElement, build_space, embedding_constant, norms
+from .space import SpaceModel, SpectralElement, embedding_constant, norms
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -90,12 +90,12 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def sublevel_radius(gamma_bar: float, alpha, T: float) -> float:
+def sublevel_radius(gamma_bar: float, alpha: float, T: float) -> float:
     """r = |cos(pi alpha)| gamma_bar^2 / c^2, the energy cap of the search set.
 
     Also equals T gamma_bar^2 / kappa_alpha, which the tests pin.
     """
-    a = FracOrder.derivative(alpha).value
+    a = check_order(alpha, differentiation=True)
     if not gamma_bar > 0.0:
         raise ValueError(f"gamma_bar must be positive, got {gamma_bar}")
     c = embedding_constant(a, T)
@@ -353,26 +353,20 @@ def _residual_from_values(map_vals: np.ndarray) -> float:
     return float(np.max(np.abs(interior - interior.mean())))
 
 
-def weak_residual(
-    sol: SolutionRecord,
-    problem: "ProblemSpec",
-    model: SpaceModel | None = None,
-) -> float:
+def weak_residual(sol: SolutionRecord, problem: "ProblemSpec", model: SpaceModel) -> float:
     """Constancy deviation of the solution's first-order map.
 
     max_i |map(t_i) - mean(map)| over interior nodes, three trimmed at
-    each end.  Pass the model when it is already built; otherwise the
-    space is rebuilt from the problem (the energy assembly is not needed).
+    each end, on the problem's space model, which it reads and never
+    rebuilds.
     """
-    if model is None:
-        model = build_space(problem.space_config)
     vals = weak_residual_values(
         np.asarray(sol.coeffs.coeffs), sol.mu, problem.nonlinearity, model
     )
     return _residual_from_values(vals)
 
 
-def residual_tolerance(alpha, n: int, T: float = 1.0) -> float:
+def residual_tolerance(alpha: float, n: int, T: float = 1.0) -> float:
     """Accepted residual: coeff * (1 / n)^(1 - alpha) * T^(1 - 2 alpha).
 
     h^(1 - alpha) with h = T / n read in units of T, times the scale of
@@ -380,7 +374,7 @@ def residual_tolerance(alpha, n: int, T: float = 1.0) -> float:
     T = 1 it is coeff * h^(1 - alpha) bit for bit.  The reduced exponent
     reflects the endpoint-singular kernels; the coefficient is calibrated.
     """
-    a = FracOrder.derivative(alpha).value
+    a = check_order(alpha, differentiation=True)
     return RESIDUAL_TOL_COEFF * (1.0 / n) ** (1.0 - a) * T ** (1.0 - 2.0 * a)
 
 

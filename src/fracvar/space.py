@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import JsonCodec
-from .frac_kernel import FracOrder, Grid, GridFunction, caputo_images, euler_gamma
+from .frac_kernel import Grid, GridFunction, caputo_images, check_order, euler_gamma
 # imported but not called: perfbench/tracing.py patches space.caputo_left
 # and space.caputo_right, and a traced run raises AttributeError without them
 from .frac_kernel import caputo_left, caputo_right
@@ -28,7 +28,6 @@ __all__ = [
     "Norms",
     "AuditReport",
     "build_space",
-    "synthesize",
     "norms",
     "unit_mode",
     "embedding_constant",
@@ -50,7 +49,7 @@ class SpaceConfig:
     k_max: int
 
     def __post_init__(self) -> None:
-        FracOrder.derivative(self.alpha)  # validates the range
+        check_order(self.alpha, differentiation=True)  # validates the range
         Grid(self.T, self.n)  # validates T and n
         if not (isinstance(self.k_max, int) and self.k_max >= 4):
             raise ValueError(f"k_max must be an integer >= 4, got {self.k_max!r}")
@@ -133,7 +132,7 @@ def unit_mode(k_max: int, k: int) -> SpectralElement:
 
 def embedding_constant(alpha: float, T: float) -> float:
     """Sup-norm embedding constant T**(alpha - 1/2) / (Gamma(alpha) sqrt(2 alpha - 1))."""
-    alpha = FracOrder.derivative(alpha).value
+    alpha = check_order(alpha, differentiation=True)
     return T ** (alpha - 0.5) / (euler_gamma(alpha) * math.sqrt(2.0 * alpha - 1.0))
 
 
@@ -181,12 +180,6 @@ def _check_element(u: SpectralElement, model: SpaceModel) -> np.ndarray:
             f"element has {u.coeffs.size} coefficients, model holds {model.k_max} modes"
         )
     return u.coeffs
-
-
-def synthesize(u: SpectralElement, model: SpaceModel) -> GridFunction:
-    """Nodal values of the element; boundary values are exactly 0."""
-    coeffs = _check_element(u, model)
-    return GridFunction(model.grid, model.synthesize(coeffs))
 
 
 class Norms(NamedTuple):

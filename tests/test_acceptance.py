@@ -29,7 +29,6 @@ from fracvar.energy import (
     table_datum,
 )
 from fracvar.frac_kernel import (
-    FracOrder,
     Grid,
     GridFunction,
     caputo_left,
@@ -77,9 +76,9 @@ def test_01_power_rules_and_halving(capsys):
     for n in (4096, 8192):
         g = Grid(T=1.0, n=n)
         t = g.nodes
-        left = rl_left_integral(GridFunction(g, t.copy()), FracOrder(0.5))
+        left = rl_left_integral(GridFunction(g, t.copy()), 0.5)
         exact_i = 1.0 / euler_gamma(2.5)
-        cap = caputo_left(GridFunction(g, np.ones(n + 1)), FracOrder.derivative(0.75))
+        cap = caputo_left(GridFunction(g, np.ones(n + 1)), 0.75)
         exact_c = 1.0 / euler_gamma(1.25)
         errs[n] = (
             abs(left.values[-1] - exact_i) / exact_i,
@@ -108,9 +107,8 @@ def test_02_integration_by_parts_pairing(capsys):
             f, _ = smooth_with_deriv(rng, g)
             q, _ = smooth_with_deriv(rng, g)
             for gam in (0.3, 0.5, 0.9):
-                o = FracOrder(gam)
-                lhs = np.sum(w * rl_left_integral(GridFunction(g, f), o).values * q)
-                rhs = np.sum(w * f * rl_right_integral(GridFunction(g, q), o).values)
+                lhs = np.sum(w * rl_left_integral(GridFunction(g, f), gam).values * q)
+                rhs = np.sum(w * f * rl_right_integral(GridFunction(g, q), gam).values)
                 worst = max(worst, abs(lhs - rhs))
         worsts[n] = worst
     ok = worsts[512] <= 5e-3 and worsts[1024] < worsts[512]
@@ -127,8 +125,8 @@ def test_03_composition_recovers_increment(capsys):
     for _ in range(5):
         u, up = smooth_with_deriv(rng, g)
         for gam in (0.6, 0.75, 0.9):
-            cap = caputo_left(GridFunction(g, up), FracOrder.derivative(gam))
-            rec = rl_left_integral(cap, FracOrder(gam))
+            cap = caputo_left(GridFunction(g, up), gam)
+            rec = rl_left_integral(cap, gam)
             worst = max(worst, float(np.max(np.abs(rec.values - (u - u[0])))))
     ok = worst <= 1e-2
     _verdict(capsys, 3, "composition identity", ok, f"worst sup error {worst:.2e}")

@@ -45,6 +45,8 @@ def test_kappa_against_reference_grid():
 
 def test_kappa_frozen_value():
     assert kappa_alpha(0.75, 1.0) == pytest.approx(1.8835510808874978, rel=1e-12)
+    with pytest.raises(ValueError, match="interval length must be positive"):
+        kappa_alpha(0.75, 0.0)
 
 
 def test_kappa_grows_toward_half():
@@ -76,6 +78,9 @@ def test_generic_optimizer_matches_closed_form_sweep():
         gb = sup_ratio(power_sum(r, s)).gamma_bar
         worst = max(worst, abs(gb - forms.gamma_bar) / forms.gamma_bar)
     assert worst <= 1e-6
+    for r, s in ((1.0, 3.0), (1.5, 2.0), (2.5, 3.0)):
+        with pytest.raises(ValueError, match="closed forms need 1 < r < 2 < s"):
+            example_closed_forms(r, s)
 
 
 def test_affine_power_sup_ratio_closed_form():

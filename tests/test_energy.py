@@ -123,6 +123,23 @@ def test_table_nonnegativity_inference():
         Nonlinearity("table", signed.f, signed.F, True, True, signed.params)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Nonlinearity("pole", lambda x: np.where(x == 0.0, np.inf, x), lambda x: x,
+                              False, False), "f must map arrays to finite arrays"),
+        (lambda: Nonlinearity("shift", lambda x: x + 1.0, lambda x: x * x / 2.0 + x, False, True),
+         "claims f(0) = 0 but f(0) = 1.000e+00"),
+        (lambda: Nonlinearity("lifted", lambda x: x, lambda x: x * x / 2.0 + 1.0, False, True),
+         "potential must vanish at 0"),
+        (lambda: affine_power(2.0), "affine_power needs q > 2"),
+    ],
+)
+def test_datum_construction_rejects_a_false_claim(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 def test_datum_cannot_move_the_flag_probe_grid():
     grid = np.concatenate([np.linspace(-10.0, 10.0, 81), [0.0]])
 

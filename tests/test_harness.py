@@ -371,6 +371,18 @@ def test_dumps_raises_type_error(bad):
 def test_emit_rejects_unknown_format(tmp_path, sweep_small):
     with pytest.raises(ValueError):
         emit_report(sweep_small, tmp_path / "x.bin", format="xml")
+    with pytest.raises(ValueError, match="cannot emit report of type AuditReport"):
+        emit_report(AuditReport(1.0, 1.0, 1.0, 1.0), tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_codec_refuses_a_field_type_it_cannot_encode():
+    @dataclasses.dataclass(frozen=True)
+    class Phase(codec.JsonCodec):
+        angle: complex
+
+    with pytest.raises(TypeError, match="no JSON encoding for <class 'complex'>"):
+        Phase(1j).json_str()
 
 
 # ------------------------------------------------------------------- CLI
@@ -597,11 +609,13 @@ def test_cli_extreme_T_exits_1(tmp_path, capsys, T):
     assert "Traceback" not in err
 
 
-# out of range: an infinite table knot (json reads -Infinity), a negative seed
+# out of range: an infinite table knot (json reads -Infinity), a negative
+# seed, no restarts
 _OUT_OF_RANGE = [
     ({"nonlinearity": {"kind": "table", "xs": [-math.inf, 0, 1], "fs": [1, 0, 1]}},
      "table abscissae must be finite"),
     ({"solver": {"seed": -1}}, "seed must be >= 0"),
+    ({"solver": {"restarts": 0}}, "restarts must be >= 1"),
 ]
 
 
@@ -627,7 +641,12 @@ _OUT_OF_RANGE = [
         ({"nonlinearity": {"kind": "table", "xs": [0, 1], "fs": [0, 1], "nonnegative": False}},
          "bad parameters for nonlinearity 'table'"),
     ]
-    + _OUT_OF_RANGE,
+    + _OUT_OF_RANGE
+    + [
+        ({"nonlinearity": [1.5, 3.0]}, 'config "nonlinearity" must be an object'),
+        ({"nonlinearity": {"r": 1.5, "s": 3.0}}, 'with a "kind"'),
+        ({"solver": [8]}, 'config "solver" must be an object'),
+    ],
 )
 def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
     cfg = tmp_path / "p.json"
@@ -668,6 +687,8 @@ def test_config_schema_is_closed(tmp_path):
     with pytest.raises(ValueError, match="unknown config keys"):
         ProblemSpec.from_config(doc)
     del doc["extra"]
+    with pytest.raises(ValueError, match="config root must be an object, got list"):
+        ProblemSpec.from_config([doc])
     del doc["nonlinearity"]
     with pytest.raises(ValueError, match="nonlinearity"):
         ProblemSpec.from_config(doc)
@@ -678,6 +699,16 @@ def test_config_schema_is_closed(tmp_path):
     spec = ProblemSpec.from_config(doc)
     assert spec.nonlinearity.kind == "power_sum"
     assert from_tag("power_sum", r=1.5, s=3.0).params == spec.nonlinearity.params
+
+
+@pytest.mark.parametrize(
+    "field, value", [("nonlinearity", "power_sum"), ("solver", {"restarts": 2})]
+)
+def test_problem_spec_rejects_a_datum_or_solver_of_another_type(field, value):
+    fields = dict(alpha=0.75, T=1.0, n=256, k_max=16, nonlinearity=affine_power(4.0))
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be a"):
+        ProblemSpec(**fields)
 
 
 def test_cli_rejects_an_infinite_grad_tol(tmp_path, capsys):
@@ -713,6 +744,13 @@ def test_cli_usage_error_prints_usage_and_one_error_line(tmp_path, capsys, argv)
     last = err.splitlines()[-1]
     assert last.startswith("fracvar") and ": error: " in last
     assert sum(": error: " in line for line in err.splitlines()) == 1
+
+
+def test_cli_without_a_command_prints_usage_and_exits_1(capsys):
+    assert cli_main([]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: fracvar") and "error" not in err
 
 
 def test_cli_help_exits_0(capsys):

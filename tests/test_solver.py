@@ -36,7 +36,7 @@ from fracvar.solver import (
     weak_residual,
     weak_residual_values,
 )
-from fracvar.space import SpectralElement, build_space, norms, synthesize
+from fracvar.space import SpectralElement, build_space, norms
 
 from oracles import abel_left_ref, fd_newton_bvp
 from probes import decayed_coeffs
@@ -61,6 +61,8 @@ def classical_setup(nl_two_power):
 
 def test_sublevel_radius_frozen_value():
     assert sublevel_radius(1.0, 0.75, 1.0) == pytest.approx(0.5309120682454849, rel=1e-12)
+    with pytest.raises(ValueError, match="gamma_bar must be positive"):
+        sublevel_radius(0.0, 0.75, 1.0)
 
 
 def test_sublevel_radius_identity():
@@ -109,7 +111,7 @@ def test_minimize_node_values_shape(problem_mid, sol_mid):
     assert vals[0] == 0.0
     assert vals[-1] == 0.0
     model = build_space(problem_mid.space_config)
-    direct = synthesize(sol_mid.coeffs, model).values
+    direct = model.synthesize(sol_mid.coeffs.coeffs)
     assert np.max(np.abs(vals - direct)) < 1e-12
 
 
@@ -469,8 +471,9 @@ def test_certify_trivial_record(problem_mid):
     assert cert.residual_ok
 
 
-def test_weak_residual_matches_record(problem_mid, sol_mid):
-    assert weak_residual(sol_mid, problem_mid) == sol_mid.residual
+def test_weak_residual_matches_record(problem_mid, sol_mid, model_mid):
+    assert problem_mid.space_config == model_mid.config
+    assert weak_residual(sol_mid, problem_mid, model_mid) == sol_mid.residual
 
 
 def _map_by_direct_kernel(c, mu, nl, model):

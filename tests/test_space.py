@@ -23,7 +23,6 @@ from fracvar.space import (
     build_space,
     embedding_constant,
     norms,
-    synthesize,
     unit_mode,
 )
 
@@ -84,10 +83,9 @@ def test_first_mode_norm_at_order_one(model_classical):
 
 def test_boundary_values_vanish(model_mid):
     rng = np.random.default_rng(4)
-    u = SpectralElement(decayed_coeffs(rng, 32))
-    gf = synthesize(u, model_mid)
-    assert abs(gf.values[0]) < 1e-12
-    assert abs(gf.values[-1]) < 1e-12
+    u = model_mid.synthesize(decayed_coeffs(rng, 32))
+    assert abs(u[0]) < 1e-12
+    assert abs(u[-1]) < 1e-12
 
 
 @given(scale=st.floats(-100.0, 100.0))
@@ -184,7 +182,9 @@ def test_audit_closed_forms_at_alpha_one(T):
     assert 0.49 < b[0] < b[1] < 0.5
 
 
-def test_spectral_element_validation():
+def test_spectral_element_validation(model_mid):
+    with pytest.raises(ValueError, match="element has 8 coefficients, model holds 32 modes"):
+        norms(SpectralElement(np.ones(8)), model_mid)
     with pytest.raises(ValueError):
         SpectralElement(np.array([]))
     with pytest.raises(ValueError):
@@ -232,8 +232,6 @@ def test_vector_reads_of_basis_and_right_images_go_through_the_model(
     assert weak_residual(sol, problem_mid, no_basis) == res
     assert weak_residual(sol, problem_mid, no_right) == res
     assert norms(sol.coeffs, no_basis) == norms(sol.coeffs, model_mid)
-    u = synthesize(sol.coeffs, model_mid).values
-    assert np.array_equal(synthesize(sol.coeffs, no_basis).values, u)
 
 
 def test_analyze_is_the_adjoint_of_synthesize(model_mid):
