@@ -126,45 +126,31 @@ def zero_datum() -> Nonlinearity:
     return Nonlinearity("zero", f, f, True, True, {})
 
 
-def _piecewise_quadratic_potential(xs: np.ndarray, fs: np.ndarray):
+def _piecewise_quadratic_potential(xs: np.ndarray, fs: np.ndarray, f0: float):
     """Exact antiderivative (vanishing at 0) of the interpolant of (xs, fs).
 
-    Per segment the interpolant is linear, so the potential is a
-    quadratic.  Each segment's quadratic is expanded about the segment
-    point nearest zero and the knot integrals accumulate outward from
-    zero, keeping roundoff relative to the value itself; an anchored-at-
-    the-far-knot form loses everything below one ulp of the cumulative.
-    Outside the knots f continues constant and the potential linearly.
+    f0 is the interpolant at 0; the knot (0, f0) joins the table (or
+    replaces its knot at 0), which leaves the interpolant and its constant
+    continuation as they were.  Per segment the interpolant is linear, so
+    the potential is a quadratic.  The knot integrals accumulate outward
+    from the knot at 0 and each segment's quadratic is expanded about its
+    end nearer 0, keeping roundoff relative to the value itself; a form
+    anchored at a far knot loses everything below one ulp of the
+    cumulative.  Outside the knots f continues constant and the potential
+    linearly.
     """
+    z, above = np.searchsorted(xs, 0.0, side="left"), np.searchsorted(xs, 0.0, side="right")
+    xs = np.concatenate([xs[:z], [0.0], xs[above:]])
+    fs = np.concatenate([fs[:z], [f0], fs[above:]])
     nseg = len(xs) - 1
     slopes = np.diff(fs) / np.diff(xs)
     panel = 0.5 * (fs[:-1] + fs[1:]) * np.diff(xs)
+    knot_int = np.concatenate([-np.cumsum(panel[:z][::-1])[::-1], [0.0], np.cumsum(panel[z:])])
 
-    knot_int = np.empty(len(xs))
-    if 0.0 <= xs[0]:
-        knot_int[0] = xs[0] * fs[0]
-        knot_int[1:] = knot_int[0] + np.cumsum(panel)
-    elif 0.0 >= xs[-1]:
-        knot_int[-1] = xs[-1] * fs[-1]
-        knot_int[:-1] = knot_int[-1] - np.cumsum(panel[::-1])[::-1]
-    else:
-        j0 = int(np.searchsorted(xs, 0.0, side="right") - 1)
-        f0 = fs[j0] - xs[j0] * slopes[j0]
-        knot_int[j0] = 0.5 * xs[j0] * (fs[j0] + f0)
-        knot_int[j0 + 1] = 0.5 * xs[j0 + 1] * (f0 + fs[j0 + 1])
-        knot_int[j0 + 2 :] = knot_int[j0 + 1] + np.cumsum(panel[j0 + 1 :])
-        knot_int[:j0] = knot_int[j0] - np.cumsum(panel[:j0][::-1])[::-1]
-
-    # per-segment expansion point, value of f there, and integral from 0
-    anchor = np.where(xs[:-1] >= 0.0, xs[:-1], xs[1:])
-    f_anchor = np.where(xs[:-1] >= 0.0, fs[:-1], fs[1:])
-    i_anchor = np.where(xs[:-1] >= 0.0, knot_int[:-1], knot_int[1:])
-    inside = (xs[:-1] < 0.0) & (xs[1:] > 0.0)
-    if inside.any():
-        j0 = int(np.argmax(inside))
-        anchor[j0] = 0.0
-        f_anchor[j0] = fs[j0] - xs[j0] * slopes[j0]
-        i_anchor[j0] = 0.0
+    # per segment: the end nearer 0, f there, and the integral from 0 to it
+    near = np.arange(nseg)
+    near[:z] += 1
+    anchor, f_anchor, i_anchor = xs[near], fs[near], knot_int[near]
 
     def F(x):
         x = np.asarray(x, dtype=float)
@@ -182,9 +168,10 @@ def table_datum(xs, fs) -> Nonlinearity:
 
     Outside the knot range f continues with its edge values.  The
     potential is the exact antiderivative of the interpolant, so probes
-    of F near 0 see the interpolant's behavior, not integration noise;
-    data vanishing at 0 should carry an explicit knot there.  Both flags
-    are read from the samples (every fs >= 0; |f(0)| <= 1e-10).
+    of F near 0 see the interpolant's behavior, not integration noise,
+    whether or not 0 is a knot.  Non-finite knots or samples are
+    rejected.  Both flags are read from the samples (every fs >= 0;
+    |f(0)| <= 1e-10).
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -192,14 +179,16 @@ def table_datum(xs, fs) -> Nonlinearity:
         raise ValueError("table needs matching 1-d arrays with at least two knots")
     if not np.all(np.isfinite(xs)):
         raise ValueError("table abscissae must be finite")
+    if not np.all(np.isfinite(fs)):
+        raise ValueError("table samples must be finite")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table abscissae must be strictly increasing")
 
     def f(x):
         return np.interp(np.asarray(x, dtype=float), xs, fs)
 
-    F = _piecewise_quadratic_potential(xs, fs)
     f0 = float(np.interp(0.0, xs, fs))
+    F = _piecewise_quadratic_potential(xs, fs, f0)
     return Nonlinearity(
         "table",
         f,

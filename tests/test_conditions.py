@@ -204,6 +204,12 @@ def test_limit_probes_linear_growth_is_inconclusive_free():
     assert lp.sinf is TriState.HOLDS  # constant ratio 2 sits above kappa(0.75, 1)
 
 
+def test_zero_limit_holds_for_a_table_away_from_zero():
+    # f = 1 near 0, read from knots at 1e7: F(xi) / xi^2 = 1 / xi diverges
+    rep = evaluate_conditions(table_datum([1e7, 2e7], [1.0, 1.0]), 0.75, 1.0)
+    assert rep.zero_holds is TriState.HOLDS
+
+
 # --------------------------------------------------------------- reports
 
 

@@ -617,6 +617,11 @@ _OUT_OF_RANGE = [
     ({"solver": {"seed": -1}}, "seed must be >= 0"),
     ({"solver": {"restarts": 0}}, "restarts must be >= 1"),
 ]
+# a NaN table sample outside the flag probe's [-10, 10] (json reads NaN)
+_NAN_SAMPLE = (
+    {"nonlinearity": {"kind": "table", "xs": [20, 30, 40], "fs": [1, math.nan, 2]}},
+    "table samples must be finite",
+)
 
 
 @pytest.mark.parametrize(
@@ -646,6 +651,7 @@ _OUT_OF_RANGE = [
         ({"nonlinearity": [1.5, 3.0]}, 'config "nonlinearity" must be an object'),
         ({"nonlinearity": {"r": 1.5, "s": 3.0}}, 'with a "kind"'),
         ({"solver": [8]}, 'config "solver" must be an object'),
+        _NAN_SAMPLE,
     ],
 )
 def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
@@ -660,10 +666,11 @@ def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("patch, message", _OUT_OF_RANGE)
+@pytest.mark.parametrize("patch, message", _OUT_OF_RANGE + [_NAN_SAMPLE])
 def test_cli_conditions_rejects_a_bad_datum_or_seed(tmp_path, capsys, patch, message):
-    # with the infinite knot conditions printed a finite mu_star, and with
-    # seed -1 it exited 0 while solve failed late inside numpy
+    # with the infinite knot conditions printed a finite mu_star, with the
+    # NaN sample mu_star inf, and with seed -1 it exited 0 while solve failed
+    # late inside numpy
     cfg = tmp_path / "p.json"
     _write_config(cfg)
     doc = json.loads(cfg.read_text())

@@ -1,19 +1,24 @@
-"""Scale invariance on the example datum: a problem on [0, T] against T = 1.
+"""Scale invariance: a problem on [0, T] against T = 1, and a datum lam f against f.
 
 Under u_T(t) = v(t / T), Phi(u_T) = T**(1 - 2 alpha) Phi(v) and
 Psi(u_T) = T Psi(v), so u_T solves the problem at (T, mu) exactly when v
 solves it at (1, mu T**(2 alpha)).  The discrete problem (h = T / n) keeps
 this to roundoff, the conditions report to its last digits, and the
-solver to its stopping test.
+solver to its stopping test.  The T tests run on the example datum; the
+datum scaling runs on both shipped configs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
 from fracvar import conditions as cond
+from fracvar.energy import Nonlinearity
+from fracvar.problem import ProblemSpec
 from fracvar.solver import certify, minimize
 
 # the verdicts that read F alone; sg_holds and sinf_holds compare F with
@@ -62,3 +67,37 @@ def test_records_and_certificates_scale_with_T(problem_mid, solved_at_one, T):
     assert certs.residual_tol / scale == pytest.approx(certs1.residual_tol, rel=1e-13)
     for name in _CERTIFICATES:
         assert getattr(certs, name) == getattr(certs1, name), name
+
+
+def _shipped_datum(name):
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
+    return ProblemSpec.from_config(json.loads(path.read_text())).nonlinearity
+
+
+def _scaled(nl, lam):
+    """lam f as a Nonlinearity over the same callables; kind and params keep its peaks."""
+    return Nonlinearity(
+        nl.kind,
+        lambda x: lam * nl.f(x),
+        lambda x: lam * nl.F(x),
+        nl.nonnegative,
+        nl.vanishes_at_zero,
+        nl.params,
+    )
+
+
+# Under f -> lam f, F -> lam F and every ratio gamma^2 / max F scales by
+# 1 / lam, so mu -> mu / lam.  Solves are left out: a signed-table solve
+# alone takes 7-10 s.  The limit verdicts are left out too: they compare
+# the last probe with the absolute DIVERGENCE_THRESHOLD, so they are not
+# scale-free.
+@pytest.mark.parametrize("config", ["example.json", "signed_table.json"])
+@pytest.mark.parametrize("lam", [1e-5, 1e-3, 1e3])
+def test_conditions_scale_with_the_datum(config, lam):
+    nl = _shipped_datum(config)
+    at_one = cond.evaluate_conditions(nl, 0.75, 1.0)
+    rep = cond.evaluate_conditions(_scaled(nl, lam), 0.75, 1.0)
+    assert rep.mu_star * lam == pytest.approx(at_one.mu_star, rel=1e-13)
+    assert rep.sup_ratio * lam == pytest.approx(at_one.sup_ratio, rel=1e-13)
+    assert rep.gamma_bar == pytest.approx(at_one.gamma_bar, rel=1e-13)
+    assert rep.sup_at_boundary == at_one.sup_at_boundary
