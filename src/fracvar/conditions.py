@@ -53,9 +53,21 @@ SMALL_PROBE_DEPTH = 14
 LARGE_PROBE_DEPTH = 8
 _REFINE_REL_TOL = 1e-8
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
-# the coarse probe grid, shared by every scan, so it is read-only
-_COARSE_GAMMAS = np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, COARSE_POINTS)
-_COARSE_GAMMAS.setflags(write=False)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the probe grids, built once and shared by every report, so the arrays
+# a datum sees are read-only: the coarse grid with its squares and the
+# abscissae the trace keeps, and the two limit ladders xi = 10^-k, 10^k
+_COARSE_GAMMAS = _read_only(np.geomspace(PROBE_GAMMA_MIN, PROBE_GAMMA_MAX, COARSE_POINTS))
+_COARSE_SQUARES = _read_only(_COARSE_GAMMAS ** 2)
+_TRACE_GAMMAS = _COARSE_GAMMAS[::40].tolist()
+_SMALL_LADDER = _read_only(np.array([10.0 ** -k for k in range(1, SMALL_PROBE_DEPTH + 1)]))
+_LARGE_LADDER = _read_only(np.array([10.0 ** k for k in range(1, LARGE_PROBE_DEPTH + 1)]))
 
 
 class TriState(str, enum.Enum):
@@ -96,14 +108,6 @@ class SupRatio:
     value: float
     gamma_bar: float
     at_boundary: bool = False
-
-
-def _ratio_or_inf(gammas: np.ndarray, window: np.ndarray) -> np.ndarray:
-    out = np.full_like(gammas, np.inf)
-    pos = window > 0.0
-    with np.errstate(over="ignore"):  # a subnormal window max overflows to the same inf
-        out[pos] = gammas[pos] ** 2 / window[pos]
-    return out
 
 
 def _golden_max(g: Callable[[float], float], lo: float, hi: float) -> float:
@@ -151,9 +155,9 @@ def _window_max(nl: Nonlinearity) -> Callable[[np.ndarray], np.ndarray]:
     The maximum over [-gamma, gamma] is attained at an endpoint, at 0
     (F(0) = 0), or at an interior local maximum p of F with |p| <= gamma.
     The peak values are read once, as a running max ordered by |p|, so
-    each gamma costs F(+-gamma) and one lookup.  Two kinds need F(gamma)
-    alone.  Nonnegative data have no peaks and F is nondecreasing from
-    F(0) = 0.  affine_power has no peaks either, and its F(+-gamma) =
+    each gamma costs F(+-gamma), read in one call of F, and one lookup.
+    Two kinds need F(gamma) alone.  Nonnegative data have no peaks and F
+    is nondecreasing from F(0) = 0.  affine_power has no peaks either, and its F(+-gamma) =
     |gamma|**q / q +- gamma share the power term, so F(gamma) >= F(-gamma)
     holds after rounding too, and F(gamma) > 0.
     """
@@ -174,7 +178,8 @@ def _window_max(nl: Nonlinearity) -> Callable[[np.ndarray], np.ndarray]:
     )
 
     def window_max(gammas: np.ndarray) -> np.ndarray:
-        ends = np.maximum(np.asarray(F(gammas), dtype=float), np.asarray(F(-gammas), dtype=float))
+        both = np.asarray(F(np.concatenate([gammas, -gammas])), dtype=float)
+        ends = np.maximum(both[: len(gammas)], both[len(gammas) :])
         return np.maximum(ends, inner[np.searchsorted(radii, gammas, side="right")])
 
     return window_max
@@ -196,7 +201,10 @@ def _coarse_scan(nl: Nonlinearity):
     """(gammas, ratios, g): the coarse grid, its ratios, and the ratio at one gamma."""
     gammas = _COARSE_GAMMAS
     window_max = _window_max(nl)
-    ratios = _ratio_or_inf(gammas, window_max(gammas))
+    window = window_max(gammas)
+    # 1/0 convention: a window max <= 0 gives +inf; a subnormal one overflows to the same inf
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = np.where(window > 0.0, _COARSE_SQUARES / window, np.inf)
 
     def g(gamma: float) -> float:
         e = float(window_max(np.array([gamma]))[0])
@@ -262,11 +270,10 @@ def limit_probes(nl: Nonlinearity, kappa: float) -> LimitProbes:
     threshold, fails needs it bounded the wrong way, and anything else
     is inconclusive.
     """
-    small = [10.0 ** -k for k in range(1, SMALL_PROBE_DEPTH + 1)]
-    large = [10.0 ** k for k in range(1, LARGE_PROBE_DEPTH + 1)]
-    f_small = np.asarray(nl.f(np.array(small)), dtype=float).tolist()
-    F_small = np.asarray(nl.F(np.array(small)), dtype=float).tolist()
-    F_large = np.asarray(nl.F(np.array(large)), dtype=float).tolist()
+    small, large = _SMALL_LADDER.tolist(), _LARGE_LADDER.tolist()
+    f_small = np.asarray(nl.f(_SMALL_LADDER), dtype=float).tolist()
+    F_small = np.asarray(nl.F(_SMALL_LADDER), dtype=float).tolist()
+    F_large = np.asarray(nl.F(_LARGE_LADDER), dtype=float).tolist()
     s0_seq = [v / x for v, x in zip(f_small, small)]
     zero_seq = [v / (x * x) for v, x in zip(F_small, small)]
     sinf_seq = [x * x / v if v > 0.0 else math.inf for v, x in zip(F_large, large)]
@@ -356,7 +363,7 @@ def evaluate_conditions(nl: Nonlinearity, alpha, T: float) -> ConditionReport:
 
     lim = limit_probes(nl, kappa)
 
-    trace = list(zip(gammas[::40].tolist(), ratios[::40].tolist()))
+    trace = list(zip(_TRACE_GAMMAS, ratios[::40].tolist()))
     trace.append((sup.gamma_bar, sup.value))
 
     return ConditionReport(

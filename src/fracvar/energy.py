@@ -34,16 +34,18 @@ __all__ = [
 ]
 
 _FLAG_PROBE = np.concatenate([np.linspace(-10.0, 10.0, 81), [0.0]])
-_FLAG_PROBE.setflags(write=False)  # every datum's f reads it
+_FLAG_PROBE.setflags(write=False)  # every datum's f and F read it
 
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
     """A continuous right-hand side f with its potential F(x) = int_0^x f.
 
-    f and F are vectorized callables.  The two flags are structural
-    claims consumed by the admissibility checks; they are probed against
-    samples of f at construction so a mislabeled datum fails fast.
+    f and F are vectorized callables.  Both are probed on [-10, 10] at
+    construction, and a wrong shape or a non-finite sample is rejected.
+    The two flags are structural claims consumed by the admissibility
+    checks; they are checked against the samples of f, so a mislabeled
+    datum fails fast.
     """
 
     kind: str
@@ -54,10 +56,16 @@ class Nonlinearity:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.f(_FLAG_PROBE), dtype=float)
-        if samples.shape != _FLAG_PROBE.shape or not np.all(np.isfinite(samples)):
-            raise ValueError(f"nonlinearity {self.kind!r}: f must map arrays to finite arrays")
-        scale = 1.0 + float(np.max(np.abs(samples)))
+        # an overflow or a pole shows as a non-finite sample, not a warning
+        with np.errstate(all="ignore"):
+            samples = np.asarray(self.f(_FLAG_PROBE), dtype=float)
+            potential = np.asarray(self.F(_FLAG_PROBE), dtype=float)
+        for name, values in (("f", samples), ("F", potential)):
+            if values.shape != _FLAG_PROBE.shape or not np.isfinite(values).all():
+                raise ValueError(
+                    f"nonlinearity {self.kind!r}: {name} must map arrays to finite arrays"
+                )
+        scale = 1.0 + float(np.abs(samples).max())
         if self.nonnegative and float(samples.min()) < -1e-10 * scale:
             raise ValueError(
                 f"nonlinearity {self.kind!r} claims f >= 0 but probes found "
@@ -68,15 +76,29 @@ class Nonlinearity:
             raise ValueError(
                 f"nonlinearity {self.kind!r} claims f(0) = 0 but f(0) = {f0:.3e}"
             )
-        F0 = float(np.asarray(self.F(np.array([0.0])))[0])
-        if abs(F0) > 1e-12:
+        if abs(float(potential[-1])) > 1e-12:
             raise ValueError(f"nonlinearity {self.kind!r}: potential must vanish at 0")
+
+
+def _operand(p: float) -> np.ndarray:
+    """p as a 0-d float64 array, for a potential's exponents and divisors.
+
+    The golden section of the conditions layer calls F on one point at a
+    time, where converting a Python float costs each ufunc call about a
+    quarter of its time; the 0-d array skips that.  The values are the
+    same float64 either way, and no exponent passed here (1 < r < 2 < s,
+    q > 2) is one that numpy shortcuts for a Python number (0, +-1, 0.5,
+    2), so each power is the np.power call it was with the float, bit
+    for bit.
+    """
+    return np.array(p, dtype=float)
 
 
 def power_sum(r: float, s: float) -> Nonlinearity:
     """f(x) = x**(r-1) + x**(s-1) for x >= 0, zero otherwise; 1 < r < 2 < s."""
     if not 1.0 < r < 2.0 < s:
         raise ValueError(f"power_sum needs 1 < r < 2 < s, got r={r}, s={s}")
+    r_, s_ = _operand(r), _operand(s)
 
     def f(x):
         xp = np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -84,7 +106,7 @@ def power_sum(r: float, s: float) -> Nonlinearity:
 
     def F(x):
         xp = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return xp ** r / r + xp ** s / s
+        return xp ** r_ / r_ + xp ** s_ / s_
 
     return Nonlinearity("power_sum", f, F, True, True, {"r": r, "s": s})
 
@@ -93,6 +115,7 @@ def affine_power(q: float) -> Nonlinearity:
     """f(x) = 1 + |x|**(q-2) x with q > 2: nonzero at the origin, superquadratic tail."""
     if not q > 2.0:
         raise ValueError(f"affine_power needs q > 2, got q={q}")
+    q_ = _operand(q)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -100,7 +123,7 @@ def affine_power(q: float) -> Nonlinearity:
 
     def F(x):
         x = np.asarray(x, dtype=float)
-        return x + np.abs(x) ** q / q
+        return x + np.abs(x) ** q_ / q_
 
     return Nonlinearity("affine_power", f, F, False, False, {"q": q})
 
@@ -137,7 +160,8 @@ def _piecewise_quadratic_potential(xs: np.ndarray, fs: np.ndarray, f0: float):
     end nearer 0, keeping roundoff relative to the value itself; a form
     anchored at a far knot loses everything below one ulp of the
     cumulative.  Outside the knots f continues constant and the potential
-    linearly.
+    linearly; F writes those two rays only into the points beyond the
+    first and last knot.
     """
     z, above = np.searchsorted(xs, 0.0, side="left"), np.searchsorted(xs, 0.0, side="right")
     xs = np.concatenate([xs[:z], [0.0], xs[above:]])
@@ -152,13 +176,21 @@ def _piecewise_quadratic_potential(xs: np.ndarray, fs: np.ndarray, f0: float):
     near[:z] += 1
     anchor, f_anchor, i_anchor = xs[near], fs[near], knot_int[near]
 
+    # searching the inner knots gives the segment j with xs[j] <= x < xs[j + 1],
+    # the first below xs[1] and the last from xs[-2] on, NaN included
+    inner = xs[1:-1]
+    x_lo, x_hi, k_lo, k_hi, f_lo, f_hi = xs[0], xs[-1], knot_int[0], knot_int[-1], fs[0], fs[-1]
+
     def F(x):
         x = np.asarray(x, dtype=float)
-        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, nseg - 1)
+        j = np.searchsorted(inner, x, side="right")
         dx = x - anchor[j]
-        out = i_anchor[j] + dx * f_anchor[j] + 0.5 * dx * dx * slopes[j]
-        out = np.where(x < xs[0], knot_int[0] + (x - xs[0]) * fs[0], out)
-        return np.where(x > xs[-1], knot_int[-1] + (x - xs[-1]) * fs[-1], out)
+        # a 0-d x gives a scalar here; as a 0-d array it takes the masked writes
+        out = np.asarray(i_anchor[j] + dx * f_anchor[j] + 0.5 * dx * dx * slopes[j])
+        lo, hi = x < x_lo, x > x_hi
+        out[lo] = k_lo + (x[lo] - x_lo) * f_lo
+        out[hi] = k_hi + (x[hi] - x_hi) * f_hi
+        return out
 
     return F
 
@@ -177,11 +209,11 @@ def table_datum(xs, fs) -> Nonlinearity:
     fs = np.asarray(fs, dtype=float)
     if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
         raise ValueError("table needs matching 1-d arrays with at least two knots")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("table abscissae must be finite")
-    if not np.all(np.isfinite(fs)):
+    if not np.isfinite(fs).all():
         raise ValueError("table samples must be finite")
-    if not np.all(np.diff(xs) > 0):
+    if not (np.diff(xs) > 0).all():
         raise ValueError("table abscissae must be strictly increasing")
 
     def f(x):
@@ -193,7 +225,7 @@ def table_datum(xs, fs) -> Nonlinearity:
         "table",
         f,
         F,
-        bool(np.all(fs >= 0.0)),
+        bool((fs >= 0.0).all()),
         abs(f0) <= 1e-10,
         {"xs": xs.tolist(), "fs": fs.tolist()},
     )

@@ -7,7 +7,9 @@ second-order form, and the Phi matrix oracle integrates the Fourier
 transforms of the sine modes.  abel_left_ref is the other kind of
 oracle: the kernel's former one-function body, kept verbatim (with the
 package's own gamma), so tests can hold the stacked kernel to it bit
-for bit.
+for bit.  table_potential_ref is one more of that kind: the table
+potential's former form, which evaluates both outer rays over the whole
+input and picks with np.where.
 """
 
 from __future__ import annotations
@@ -99,6 +101,31 @@ def abel_left_ref(values: np.ndarray, gamma: float, h: float) -> np.ndarray:
         acc[1:] += interior
     out[1:] = (h ** gamma / euler_gamma(gamma + 2.0)) * acc
     return out
+
+
+def table_potential_ref(xs: np.ndarray, fs: np.ndarray, f0: float):
+    """The table potential F of energy._piecewise_quadratic_potential, as it was."""
+    z, above = np.searchsorted(xs, 0.0, side="left"), np.searchsorted(xs, 0.0, side="right")
+    xs = np.concatenate([xs[:z], [0.0], xs[above:]])
+    fs = np.concatenate([fs[:z], [f0], fs[above:]])
+    nseg = len(xs) - 1
+    slopes = np.diff(fs) / np.diff(xs)
+    panel = 0.5 * (fs[:-1] + fs[1:]) * np.diff(xs)
+    knot_int = np.concatenate([-np.cumsum(panel[:z][::-1])[::-1], [0.0], np.cumsum(panel[z:])])
+
+    near = np.arange(nseg)
+    near[:z] += 1
+    anchor, f_anchor, i_anchor = xs[near], fs[near], knot_int[near]
+
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, nseg - 1)
+        dx = x - anchor[j]
+        out = i_anchor[j] + dx * f_anchor[j] + 0.5 * dx * dx * slopes[j]
+        out = np.where(x < xs[0], knot_int[0] + (x - xs[0]) * fs[0], out)
+        return np.where(x > xs[-1], knot_int[-1] + (x - xs[-1]) * fs[-1], out)
+
+    return F
 
 
 def space_arrays_ref(alpha: float, T: float, n: int, k_max: int) -> dict:

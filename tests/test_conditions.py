@@ -359,6 +359,25 @@ def test_batched_limit_probes_match_scalar_loop():
             assert limit_probes(nl, kappa) == _limit_probes_oracle(nl, kappa), nl.params
 
 
+def test_datum_cannot_move_the_limit_ladders():
+    # the ladders are built once and shared by every report, as the flag
+    # probe is; a datum that writes into its argument there fails loudly
+    small = [10.0 ** -k for k in range(1, conditions.SMALL_PROBE_DEPTH + 1)]
+    large = [10.0 ** k for k in range(1, conditions.LARGE_PROBE_DEPTH + 1)]
+
+    def shifts_ladders(x):
+        if x.shape in ((len(small),), (len(large),)):  # not the flag probe
+            x += 100.0
+        return x * x / 2.0
+
+    for f, F in ((lambda x: x, shifts_ladders), (shifts_ladders, lambda x: x * x * x / 6.0)):
+        nl = Nonlinearity("shifting", f, F, False, True)
+        with pytest.raises(ValueError, match="read-only"):
+            limit_probes(nl, 1.0)
+    assert conditions._SMALL_LADDER.tolist() == small
+    assert conditions._LARGE_LADDER.tolist() == large
+
+
 # The catalog data, plus two draws whose probe trace at an earlier
 # revision held ratios above sup_ratio: there the trace and the
 # supremum read two different window maxima of F.

@@ -6,12 +6,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracvar.energy import (
@@ -29,6 +30,7 @@ from fracvar.energy import (
 from fracvar.errors import ResolutionError
 from fracvar.space import SpaceConfig, SpectralElement, build_space, norms, unit_mode
 
+from oracles import table_potential_ref
 from probes import decayed_coeffs
 
 
@@ -56,6 +58,26 @@ def test_power_sum_pointwise():
     F = nl.F(x)
     assert F[1] == pytest.approx(1.0 / 1.5 + 1.0 / 3.0)
     assert F[2] == 0.0
+
+
+def test_catalog_potentials_take_the_bits_of_their_float_forms():
+    # F holds its exponents and divisors as 0-d arrays; on whole arrays and
+    # on the one-point arrays of the golden section it gives the float form
+    g = np.geomspace(1e-6, 1e6, 2001)
+    x = np.concatenate([g, -g, np.linspace(-10.0, 10.0, 81), [0.0, -0.0]])
+
+    def power_form(r, s):
+        return lambda x: np.maximum(x, 0.0) ** r / r + np.maximum(x, 0.0) ** s / s
+
+    def affine_form(q):
+        return lambda x: x + np.abs(x) ** q / q
+
+    cases = [(power_sum(r, s).F, power_form(r, s))
+             for r, s in ((1.5, 3.0), (1.05, 2.1), (1.95, 6.0), (1.1646396340384622, 3))]
+    cases += [(affine_power(q).F, affine_form(q)) for q in (2.1, 3, 4.5)]
+    for F, ref in cases:
+        assert np.array_equal(F(x), ref(x))
+        assert all(F(np.array([v]))[0] == ref(np.array([v]))[0] for v in x[::37])
 
 
 def test_power_sum_validation():
@@ -169,6 +191,39 @@ def test_table_potential_is_exact_to_roundoff_relative_to_x(table, x):
     assert err <= bound * max(Fraction(abs(v)) for v in fs)
 
 
+@st.composite
+def _tables_with_zero_samples(draw):
+    """A table around zero with some of its samples set to +-0."""
+    xs, fs = draw(_tables_around_zero())
+    zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=len(fs), max_size=len(fs)))
+    return xs, [v if z is None else z for v, z in zip(fs, zeros)]
+
+
+_SPECIAL_X = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]
+
+
+@settings(max_examples=200)
+@given(
+    table=st.one_of(_tables_around_zero(), _tables_with_zero_samples()),
+    extra=st.lists(st.floats(), max_size=7),
+)
+def test_table_potential_matches_the_where_form_bit_for_bit(table, extra):
+    # the rays written only beyond the knots give the values, sign bits and
+    # shapes of the form that evaluated both rays everywhere
+    xs, fs = (np.asarray(v, dtype=float) for v in table)
+    new = table_datum(xs, fs).F
+    old = table_potential_ref(xs, fs, float(np.interp(0.0, xs, fs)))
+    x = np.array([*_SPECIAL_X, *xs, *(-xs), *extra])
+    if x.size % 2:
+        x = np.append(x, 0.5)
+    with np.errstate(all="ignore"):
+        for arg in (x, x.reshape(2, -1), *(np.array(v) for v in x), *x.tolist()):
+            got, want = new(arg), old(arg)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True), (arg, got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (arg, got, want)
+
+
 def test_table_tails_extend_linearly():
     nl = table_datum([0.0, 1.0], [1.0, 2.0])
     # inside: F(1) = 1.5; beyond the last knot f stays at 2
@@ -200,11 +255,18 @@ def test_table_nonnegativity_inference():
         (lambda: Nonlinearity("lifted", lambda x: x, lambda x: x * x / 2.0 + 1.0, False, True),
          "potential must vanish at 0"),
         (lambda: affine_power(2.0), "affine_power needs q > 2"),
+        # F returns a scalar, and F overflows near |x| = 10 while f stays finite
+        (lambda: Nonlinearity("scalar", lambda x: x, lambda x: 0.0, False, True),
+         "'scalar': F must map arrays to finite arrays"),
+        (lambda: power_sum(1.5, 308.5), "'power_sum': F must map arrays to finite arrays"),
+        (lambda: power_sum(1.5, 309.5), "'power_sum': f must map arrays to finite arrays"),
     ],
 )
 def test_datum_construction_rejects_a_false_claim(make, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the probes' overflows are rejections, not warnings
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 def test_datum_cannot_move_the_flag_probe_grid():
@@ -216,6 +278,9 @@ def test_datum_cannot_move_the_flag_probe_grid():
 
     with pytest.raises(ValueError, match="read-only"):
         Nonlinearity("shifting", shifts_its_argument, lambda x: x * x / 2.0, False, False)
+    # F is probed on the same grid
+    with pytest.raises(ValueError, match="read-only"):
+        Nonlinearity("shifting", lambda x: x, shifts_its_argument, False, False)
     assert np.array_equal(_FLAG_PROBE, grid)
     # on the unmoved grid f = x - 50 is still seen to go negative
     with pytest.raises(ValueError, match="claims f >= 0"):

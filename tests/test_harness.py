@@ -7,6 +7,9 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -622,6 +625,35 @@ _NAN_SAMPLE = (
     {"nonlinearity": {"kind": "table", "xs": [20, 30, 40], "fs": [1, math.nan, 2]}},
     "table samples must be finite",
 )
+# power_sum(1.5, 308.5): f is finite on the flag probe's [-10, 10] but F
+# overflows near |x| = 10; at 309.5 f overflows too.  The first printed a
+# report built on the overflow, and both warned before the datum was checked
+_OVERFLOWING_POWERS = [
+    ({"nonlinearity": {"kind": "power_sum", "r": 1.5, "s": 308.5}},
+     "F must map arrays to finite arrays"),
+    ({"nonlinearity": {"kind": "power_sum", "r": 1.5, "s": 309.5}},
+     "f must map arrays to finite arrays"),
+]
+
+
+def _patched_config(tmp_path, patch):
+    cfg = tmp_path / "p.json"
+    _write_config(cfg)
+    doc = json.loads(cfg.read_text())
+    doc.update(patch)
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def _rejects(tmp_path, capsys, patch, command) -> str:
+    """Run command on the patched config with warnings as errors; its one stderr line."""
+    cfg = _patched_config(tmp_path, patch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracvar: error:") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize(
@@ -652,34 +684,35 @@ _NAN_SAMPLE = (
         ({"nonlinearity": {"r": 1.5, "s": 3.0}}, 'with a "kind"'),
         ({"solver": [8]}, 'config "solver" must be an object'),
         _NAN_SAMPLE,
-    ],
+    ]
+    + _OVERFLOWING_POWERS,
 )
 def test_cli_rejects_non_integer_config_fields(tmp_path, capsys, patch, field):
-    cfg = tmp_path / "p.json"
-    _write_config(cfg)
-    doc = json.loads(cfg.read_text())
-    doc.update(patch)
-    cfg.write_text(json.dumps(doc))
-    assert cli_main(["solve", "--config", str(cfg), "--mu", "0.25"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("fracvar: error:") and field in err
-    assert "Traceback" not in err
+    assert field in _rejects(tmp_path, capsys, patch, ["solve", "--mu", "0.25"])
 
 
-@pytest.mark.parametrize("patch, message", _OUT_OF_RANGE + [_NAN_SAMPLE])
+@pytest.mark.parametrize("patch, message", _OUT_OF_RANGE + [_NAN_SAMPLE] + _OVERFLOWING_POWERS)
 def test_cli_conditions_rejects_a_bad_datum_or_seed(tmp_path, capsys, patch, message):
     # with the infinite knot conditions printed a finite mu_star, with the
     # NaN sample mu_star inf, and with seed -1 it exited 0 while solve failed
     # late inside numpy
-    cfg = tmp_path / "p.json"
-    _write_config(cfg)
-    doc = json.loads(cfg.read_text())
-    doc.update(patch)
-    cfg.write_text(json.dumps(doc))
-    assert cli_main(["conditions", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("fracvar: error:") and message in err
-    assert "Traceback" not in err
+    assert message in _rejects(tmp_path, capsys, patch, ["conditions"])
+
+
+@pytest.mark.parametrize("patch, message", _OVERFLOWING_POWERS)
+def test_cli_rejects_an_overflowing_datum_under_warnings_as_errors(tmp_path, patch, message):
+    # a fresh interpreter in dev mode, as the CI steps run the command line
+    cfg = _patched_config(tmp_path, patch)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "fracvar", "conditions",
+         "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("fracvar: error:") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_config_schema_is_closed(tmp_path):

@@ -101,3 +101,15 @@ def test_cli_outputs_exit_0_with_canonical_json(tmp_path):
         assert body == json.dumps(json.loads(body), sort_keys=True, indent=2) + "\n", path.name
     listed = {line.split()[1] for line in (tmp_path / "SHA256SUMS").read_text().splitlines()}
     assert listed == {p.name for p in tmp_path.iterdir()} - {"SHA256SUMS"}
+
+
+def test_conditions_digest_repeats(monkeypatch, capsys):
+    # loading the script puts perfbench/ on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = _load("conditions_digest")
+    digests = []
+    for _ in range(2):
+        assert digest.main(["--count", "8"]) == 0
+        digests.append(capsys.readouterr().out)
+    assert digests[0] == digests[1]
+    assert len(digests[0].strip()) == 64 and digests[0].count("\n") == 1
