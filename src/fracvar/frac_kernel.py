@@ -14,9 +14,11 @@ to the direct sum to roundoff, and a stack of functions on one grid
 shares one kernel.  kernel_verify and the weak residual call them.
 caputo_images, which only build_space calls, forms the sum directly,
 because the benchmark's references pin the bits of its images (ROADMAP
-item 3 moves it to the FFT).  Above a work crossover it builds its two
-sides at once, one in a child forked for the call (forked.forked_map);
-each row's bits come from its own dot products, so they are the same in
+item 3 moves it to the FFT).  It takes every stack through one per-node
+loop: each kept output is one np.vecdot of the rows' prefixes with the
+reversed kernel's tail.  Above a work crossover it builds its two sides
+at once, one in a child forked for the call (forked.forked_map); each
+row's bits come from its own dot products, so they are the same in
 either process.
 
 The order-alpha Caputo derivative consumes samples of u' rather than u;
@@ -72,9 +74,11 @@ def euler_gamma(x: float) -> float:
     """Gamma function for real x in (0, 171].
 
     Lanczos approximation (g = 7, nine coefficients) on [0.5, 171], with
-    the reflection formula covering (0, 0.5).  Relative error stays below
-    1e-12 on (0, 20]; beyond that the log-domain evaluation keeps the
-    result finite up to the float64 ceiling.
+    the reflection formula covering (0, 0.5); above 20 the sum is taken
+    in the log domain, which keeps the result finite up to the float64
+    ceiling.  Largest relative error against mpmath over 20,000 random
+    points per piece: 1.4e-15 on (0, 0.5), 6.7e-15 on [0.5, 20] and
+    3.0e-13 on (20, 171]; the tests hold all three to 1e-12.
 
     Raises
     ------
@@ -186,9 +190,6 @@ def check_order(order: float, *, differentiation: bool) -> float:
     return v
 
 
-# rows * (n + 1) from which the per-node loop beats per-row np.convolve
-# (measured crossover 3e4 to 6e4, 1 BLAS thread)
-_STACKED_MIN_SAMPLES = 60_000
 # bytes of rows per tile of the per-node loop, so row prefixes stay in L2
 _TILE_BYTES = 1 << 20
 # rows * (n + 1)**2 from which caputo_images builds its two sides at once,
@@ -244,12 +245,6 @@ def _product_trapezoid(values: np.ndarray, gamma: float, h: float, convolve) -> 
         acc[:, 1:] += convolve(stack[:, 1:n], conv_kernel[: n - 1])
     out[:, 1:] = scale * acc
     return out.reshape(np.shape(values))
-
-
-def _per_row_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """np.convolve(row, kernel)[:m] for every row of body, one full convolution each."""
-    m = body.shape[1]
-    return np.array([np.convolve(row, kernel)[:m] for row in body])
 
 
 def _kept_convolution(body: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -363,16 +358,14 @@ def caputo_images(u_prime: GridFunction, order: float) -> tuple[np.ndarray, np.n
     images feed phi and psi, whose benchmark references come from solves
     that stop short of their minimizer, so a roundoff change moves them
     past their 1e-6 tolerance.  ROADMAP item 3 moves it to the FFT with
-    re-recorded references, and deletes _kept_convolution,
-    _per_row_convolution, _STACKED_MIN_SAMPLES and _TILE_BYTES.
+    re-recorded references, and deletes _kept_convolution and _TILE_BYTES.
 
-    Each kept output is one BLAS dot of a row prefix with the reversed
-    kernel's tail.  From rows * (n + 1) >= _STACKED_MIN_SAMPLES samples
-    _kept_convolution forms only the n - 1 kept outputs, one np.vecdot
-    per node shared by all rows; smaller stacks take per-row np.convolve,
-    twice the multiply-adds but no per-node Python call.  np.convolve
-    makes the same cblas_ddot call on the same operands as np.vecdot, so
-    both give the same bits (tests check 1 and 2 BLAS threads).
+    Every stack, one row or many, takes one per-node loop
+    (_kept_convolution): each kept output is one BLAS dot of a row prefix
+    with the reversed kernel's tail, one np.vecdot per node shared by all
+    rows, so only the n - 1 kept outputs are formed.  np.convolve makes
+    the same cblas_ddot call on the same operands, so the images have
+    its bits (tests check 1 and 2 BLAS threads).
 
     From rows * (n + 1)**2 >= _FORKED_MIN_WORK, with CPUs for two
     processes' BLAS threads (two CPUs with the BLAS capped at one thread,
@@ -388,15 +381,11 @@ def caputo_images(u_prime: GridFunction, order: float) -> tuple[np.ndarray, np.n
     if alpha == 1.0:
         return values, -values
     gamma, h = 1.0 - alpha, u_prime.grid.h
-    if values.size < _STACKED_MIN_SAMPLES:
-        convolve = _per_row_convolution
-    else:
-        convolve = _kept_convolution
 
     def side(right: bool) -> np.ndarray:
         if not right:
-            return _product_trapezoid(values, gamma, h, convolve)
-        mirrored = _product_trapezoid(values[..., ::-1].copy(), gamma, h, convolve)
+            return _product_trapezoid(values, gamma, h, _kept_convolution)
+        mirrored = _product_trapezoid(values[..., ::-1].copy(), gamma, h, _kept_convolution)
         return -mirrored[..., ::-1]
 
     work = values.size * values.shape[-1]  # rows * (n + 1)**2

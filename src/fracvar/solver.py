@@ -30,7 +30,7 @@ from .frac_kernel import (
     rl_left_integral,
     rl_right_integral,
 )
-from .space import SpaceModel, SpectralElement, embedding_constant, norms
+from .space import SpaceModel, SpectralElement, norms
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -91,15 +91,15 @@ class SolverConfig:
 
 
 def sublevel_radius(gamma_bar: float, alpha: float, T: float) -> float:
-    """r = |cos(pi alpha)| gamma_bar^2 / c^2, the energy cap of the search set.
+    """r = T gamma_bar^2 / kappa_alpha, the energy cap of the search set.
 
-    Also equals T gamma_bar^2 / kappa_alpha, which the tests pin.
+    Equals |cos(pi alpha)| gamma_bar^2 / c^2 with c the sup-norm embedding
+    constant, so Phi < r keeps |u|_inf < gamma_bar; the tests pin that form.
     """
-    a = check_order(alpha, differentiation=True)
+    kappa = cond.kappa_alpha(alpha, T)
     if not gamma_bar > 0.0:
         raise ValueError(f"gamma_bar must be positive, got {gamma_bar}")
-    c = embedding_constant(a, T)
-    return abs(math.cos(math.pi * a)) * gamma_bar * gamma_bar / (c * c)
+    return T * gamma_bar * gamma_bar / kappa
 
 
 @dataclass(frozen=True)

@@ -141,14 +141,14 @@ def build_space(config: SpaceConfig) -> SpaceModel:
 
     Deterministic: equal configs give bitwise-identical models.  Cost is
     dominated by the 2 * k_max Caputo images, built in one caputo_images
-    call, the one caller of the direct sum: about k_max * n**2 / 2
-    multiply-adds per side from k_max * (n + 1) >= 60,000 samples, twice
-    that below.  From k_max * (n + 1)**2 >= 1.5e8, with two CPUs and the
-    BLAS at one thread, one side is built in a child forked for the call,
-    so the build takes about half as long (refine's n = 4096 to 16384 levels; sweep's
-    (1024, 64) and every shipped config stay in this process).  Every
-    image is bit-identical to a per-row build, forked or not, as the
-    benchmark's phi/psi references require (ROADMAP items 2-3; see
+    call, the one caller of the direct sum: one per-node loop of about
+    k_max * n**2 / 2 multiply-adds per side, at every size.  From
+    k_max * (n + 1)**2 >= 1.5e8, with two CPUs and the BLAS at one
+    thread, one side is built in a child forked for the call, so the
+    build takes about half as long (refine's n = 4096 to 16384 levels;
+    sweep's (1024, 64) and every shipped config stay in this process).
+    Every image is bit-identical to a per-row build, forked or not, as
+    the benchmark's phi/psi references require (ROADMAP items 2-3; see
     frac_kernel.caputo_images).
     """
     grid = Grid(config.T, config.n)

@@ -3,13 +3,15 @@
 The benchmark's phi/psi references hold solves that stop short of their
 minimizer, so a roundoff change in a Caputo image moves them past their
 tolerance.  These tests pin the direct sum behind those images
-(caputo_images): every SpaceModel array against a per-row oracle build,
-stacked calls against row-by-row calls on both sides of the size at
-which the per-node loop takes over, and repeated builds against each
-other.  They also pin that the FFT operators give each row of a stack
-the bits of a call on its own, which keeps the weak residual's bits.
-Above a work crossover caputo_images builds one side in a forked child;
-the forked builds are held to the one-CPU builds, which fork nothing.
+(caputo_images), which takes every stack through one per-node loop:
+every SpaceModel array against a per-row np.convolve oracle build, at
+the shipped, sweep and refine sizes among others, stacked calls against
+row-by-row calls from one row to forty, and repeated builds against
+each other.  They also pin that the FFT operators give each row of a
+stack the bits of a call on its own, which keeps the weak residual's
+bits.  Above a work crossover caputo_images builds one side in a forked
+child; the forked builds are held to the one-CPU builds, which fork
+nothing.
 Rerun them under OPENBLAS_NUM_THREADS=2: n = 16384 puts the direct
 sum's dot products above OpenBLAS's threaded-ddot cut-off.
 """
@@ -44,7 +46,8 @@ MODEL_ARRAYS = ("basis", "caputo_left_images", "caputo_right_images", "weights")
 
 @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9, 1.0])
 @pytest.mark.parametrize(
-    "n, k_max", [(64, 16), (100, 25), (1024, 64), (3000, 40), (4096, 16), (8192, 16)]
+    "n, k_max",
+    [(64, 16), (100, 25), (512, 32), (1024, 64), (2048, 16), (3000, 40), (4096, 16), (8192, 16)],
 )
 def test_space_model_matches_per_row_oracle(alpha, n, k_max):
     model = build_space(SpaceConfig(alpha=alpha, T=1.0, n=n, k_max=k_max))
@@ -67,9 +70,9 @@ def test_equal_configs_build_bitwise_equal_models(n, k_max):
     gamma=st.floats(0.01, 0.45),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(rows=40, n=2048, gamma=0.25, seed=0)  # above the per-node cut
-@example(rows=29, n=2047, gamma=0.4, seed=1)  # just below it
-@example(rows=30, n=2047, gamma=0.4, seed=1)  # just above it
+@example(rows=40, n=2048, gamma=0.25, seed=0)  # the largest stack drawn
+@example(rows=29, n=2047, gamma=0.4, seed=1)  # an odd n, odd and even rows
+@example(rows=30, n=2047, gamma=0.4, seed=1)
 def test_stacked_operators_equal_row_by_row(rows, n, gamma, seed):
     grid = Grid(1.0, n)
     stack = np.random.default_rng(seed).standard_normal((rows, n + 1))

@@ -22,7 +22,7 @@ from fracvar.frac_kernel import (
     rl_right_integral,
 )
 
-from oracles import abel_left_ref
+from oracles import abel_left_ref, gamma_ref
 from probes import smooth_with_deriv
 
 
@@ -236,6 +236,20 @@ def test_cumulative_trapezoid_matches_prefix_sums():
     out = cumulative_trapezoid(vals, 0.5)
     assert out[0] == 0.0
     assert out[-1] == pytest.approx(0.5 * (0.5 + 2.5 + 6.5))
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.geomspace(1e-300, 0.49, 200),  # reflection formula
+        np.linspace(0.5, 20.0, 400),  # direct Lanczos sum
+        np.linspace(20.001, 171.0, 400),  # log-domain branch, up to the ceiling
+    ],
+    ids=["reflection", "direct", "log_domain"],
+)
+def test_euler_gamma_against_mpmath(xs):
+    for x in xs:
+        assert euler_gamma(float(x)) == pytest.approx(gamma_ref(float(x)), rel=1e-12), x
 
 
 def test_euler_gamma_against_stdlib():

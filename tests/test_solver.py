@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracvar import solver
-from fracvar.conditions import evaluate_conditions, kappa_alpha
+from fracvar.conditions import evaluate_conditions
 from fracvar.energy import (
     Nonlinearity,
     affine_power,
@@ -36,7 +36,7 @@ from fracvar.solver import (
     weak_residual,
     weak_residual_values,
 )
-from fracvar.space import SpectralElement, build_space, norms
+from fracvar.space import SpectralElement, build_space, embedding_constant, norms
 
 from oracles import abel_left_ref, fd_newton_bvp
 from probes import decayed_coeffs
@@ -66,14 +66,16 @@ def test_sublevel_radius_frozen_value():
 
 
 def test_sublevel_radius_identity():
-    # r = |cos(pi a)| gamma_bar^2 / c^2, equivalently T gamma_bar^2 / kappa
+    # r = T gamma_bar^2 / kappa by definition; held to the embedding-constant
+    # form |cos(pi a)| gamma_bar^2 / c^2, which makes Phi < r bound |u|_inf
     rng = np.random.default_rng(13)
     for _ in range(50):
         gb = float(rng.uniform(0.1, 5.0))
         a = float(rng.uniform(0.55, 1.0))
         T = float(rng.uniform(0.5, 3.0))
         r = sublevel_radius(gb, a, T)
-        assert abs(r - T * gb * gb / kappa_alpha(a, T)) <= 1e-12 * r
+        c = embedding_constant(a, T)
+        assert abs(r - abs(math.cos(math.pi * a)) * gb * gb / (c * c)) <= 1e-12 * r
 
 
 def test_sublevel_implies_sup_norm_bound(model_mid, assembly_mid):

@@ -214,6 +214,22 @@ def _with_nan(model, field, **methods):
     return type("Hidden", (SpaceModel,), methods)(**arrays)
 
 
+@pytest.mark.parametrize(
+    "alpha, n, k_max", [(0.75, 512, 32), (0.6, 4096, 16), (0.55, 2048, 16), (1.0, 64, 8)]
+)
+def test_right_images_mirror_left_images(alpha, n, k_max):
+    # reflecting t -> T - t turns a left Caputo derivative into the right one
+    # (which carries the orientation sign) and maps sin(k pi t / T) to
+    # (-1)**(k+1) times itself, so each right image row is the reversed left
+    # row times (-1)**(k+1); the opposite sign misses by 2
+    model = build_space(SpaceConfig(alpha=alpha, T=1.0, n=n, k_max=k_max))
+    left, right = model.caputo_left_images, model.caputo_right_images
+    for k in range(1, k_max + 1):
+        row = right[k - 1]
+        mirrored = (-1) ** (k + 1) * left[k - 1][::-1]
+        assert np.max(np.abs(row - mirrored)) <= 1e-12 * np.max(np.abs(row)), k
+
+
 def test_vector_reads_of_basis_and_right_images_go_through_the_model(
     problem_mid, model_mid, assembly_mid
 ):
